@@ -52,10 +52,12 @@
 // Options.Runs budget; if the budget is too small for the target,
 // Result.BudgetExhausted is set. Options.OnProgress delivers periodic
 // Progress snapshots (runs completed, running estimates, current
-// Theorem-1 confidence radius). Results are bit-identical across
-// worker counts for a fixed Options.Seed: work is dispatched in fixed
-// chunks of the run-index space, run j always uses RNG seed Seed+j,
-// and partial sums are reduced in run order.
+// Theorem-1 confidence radius). For a fixed Options.Seed, run j always
+// uses RNG seed Seed+j and every fixed chunk of Options.ChunkSize runs
+// is summed in run order, so results repeat bit for bit at Workers = 1.
+// Across worker counts the DD backend's tracked probabilities can
+// differ in the last bits, because its tolerance interning depends on
+// the runs a backend executed before.
 //
 // # Trajectory checkpointing
 //

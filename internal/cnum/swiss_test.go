@@ -17,7 +17,7 @@ func newPlanePair(tol float64) (sw, ch *Table) {
 // ±2·tol (distinct representative) and ±(cell−tol/2) (adjacent cell,
 // within reach of the single-probe neighbour guarantee).
 func boundaryProbes(t *Table, re, im float64) [][2]float64 {
-	offs := []float64{0, t.tol / 2, -t.tol / 2, 2 * t.tol, -2 * t.tol, t.cell - t.tol/2, -(t.cell - t.tol / 2)}
+	offs := []float64{0, t.tol / 2, -t.tol / 2, 2 * t.tol, -2 * t.tol, t.cell - t.tol/2, -(t.cell - t.tol/2)}
 	var out [][2]float64
 	for _, dr := range offs {
 		out = append(out, [2]float64{re + dr, im}, [2]float64{re, im + dr}, [2]float64{re + dr, im - dr})

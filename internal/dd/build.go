@@ -97,12 +97,11 @@ func (p *Package) ProductOperator(factors []*Mat2) MEdge {
 	if len(factors) != p.nQubits {
 		panic(fmt.Sprintf("dd: ProductOperator got %d factors, want %d", len(factors), p.nQubits))
 	}
-	id := Mat2{{1, 0}, {0, 1}}
 	e := MEdge{N: nil, W: p.W.One}
 	for level := 1; level <= p.nQubits; level++ {
 		f := factors[p.levelToQubit(level)]
 		if f == nil {
-			f = &id
+			f = &identity
 		}
 		var kids [4]MEdge
 		kids[0] = p.scaleM(e, p.W.LookupC(f[0][0]))
@@ -136,9 +135,18 @@ type Control struct {
 // that applies u to the target qubit and the identity elsewhere.
 func (p *Package) SingleQubitGate(u Mat2, target int) MEdge {
 	factors := p.factorSlice()
-	factors[target] = &u
+	p.targetScratch = u
+	factors[target] = &p.targetScratch
 	return p.ProductOperator(factors)
 }
+
+// The control projectors and the identity factor of the gate builders,
+// shared read-only (ProductOperator only reads its factors).
+var (
+	projZero = Mat2{{1, 0}, {0, 0}}
+	projOne  = Mat2{{0, 0}, {0, 1}}
+	identity = Mat2{{1, 0}, {0, 1}}
+)
 
 // ControlledGate returns the matrix diagram of the controlled
 // operator: u is applied to the target qubit iff every positive
@@ -155,10 +163,6 @@ func (p *Package) ControlledGate(u Mat2, target int, controls []Control) MEdge {
 	if len(controls) == 0 {
 		return p.SingleQubitGate(u, target)
 	}
-	p0 := Mat2{{1, 0}, {0, 0}}
-	p1 := Mat2{{0, 0}, {0, 1}}
-	id := Mat2{{1, 0}, {0, 1}}
-
 	factors := p.factorSlice()
 	for _, c := range controls {
 		if c.Qubit == target {
@@ -168,15 +172,16 @@ func (p *Package) ControlledGate(u Mat2, target int, controls []Control) MEdge {
 			panic(fmt.Sprintf("dd: duplicate control on qubit %d", c.Qubit))
 		}
 		if c.Negative {
-			factors[c.Qubit] = &p0
+			factors[c.Qubit] = &projZero
 		} else {
-			factors[c.Qubit] = &p1
+			factors[c.Qubit] = &projOne
 		}
 	}
 
-	factors[target] = &id
+	factors[target] = &identity
 	projID := p.ProductOperator(factors) // P_ctrl ⊗ I_target
-	factors[target] = &u
+	p.targetScratch = u
+	factors[target] = &p.targetScratch
 	projU := p.ProductOperator(factors) // P_ctrl ⊗ U_target
 
 	return p.AddM(p.SubM(p.Identity(), projID), projU)

@@ -257,6 +257,10 @@ type Package struct {
 	// ProductOperator callers (gate builders, collapse, Kraus
 	// application) — a Package is single-goroutine by contract.
 	factorScratch []*Mat2
+	// targetScratch holds the target factor of the gate being built,
+	// so that storing its address in factorScratch does not move the
+	// caller's matrix to the heap on every gate.
+	targetScratch Mat2
 
 	// gcThreshold triggers automatic garbage collection when the
 	// combined unique-table population exceeds it; wGCThreshold does
@@ -328,19 +332,19 @@ type Stats struct {
 // Stats returns the package's current table statistics.
 func (p *Package) Stats() Stats {
 	s := Stats{
-		VNodes:         p.vCount,
-		MNodes:         p.mCount,
-		Weights:        p.W.Count(),
-		NodesCreated:   p.NodesCreated(),
-		PeakVNodes:     p.peakVNodes,
-		GCRuns:         p.gcRuns,
-		UniqueLookups:  p.uLookups,
-		UniqueHits:     p.uHits,
+		VNodes:           p.vCount,
+		MNodes:           p.mCount,
+		Weights:          p.W.Count(),
+		NodesCreated:     p.NodesCreated(),
+		PeakVNodes:       p.peakVNodes,
+		GCRuns:           p.gcRuns,
+		UniqueLookups:    p.uLookups,
+		UniqueHits:       p.uHits,
 		ComputeLookups:   p.cLookups,
 		ComputeHits:      p.cHits,
 		ComputeConflicts: p.cConflicts,
-		UniqueProbe:    p.probeHist,
-		UniqueMaxProbe: p.maxProbe,
+		UniqueProbe:      p.probeHist,
+		UniqueMaxProbe:   p.maxProbe,
 	}
 	if p.swissOn {
 		if slots := len(p.vt.slots) + len(p.mt.slots); slots > 0 {
@@ -368,13 +372,14 @@ func NewPackageTol(n int, tol float64) *Package {
 	if n < 1 || n > MaxQubits {
 		panic(fmt.Sprintf("dd: unsupported qubit count %d (want 1..%d)", n, MaxQubits))
 	}
+	gcNodes := gcStartNodes(n)
 	p := &Package{
 		W:            cnum.NewTableTol(tol),
 		nQubits:      n,
 		nextVID:      1,
 		nextMID:      1,
-		gcThreshold:  250000,
-		wGCThreshold: 400000,
+		gcThreshold:  gcNodes,
+		wGCThreshold: gcNodes * 8 / 5,
 		recycle:      cnum.ArenaEnabled(),
 		swissOn:      cnum.SwissTables(),
 	}
@@ -392,6 +397,20 @@ func NewPackageTol(n int, tol float64) *Package {
 	}
 	p.allocCaches()
 	return p
+}
+
+// gcStartNodes is the unique-table population at which a fresh n-qubit
+// package first collects: 2^(n+8), 256 times the largest n-qubit
+// vector diagram, clamped to [8192, 250000]. The weight threshold
+// starts at 1.6 times that. Registers of 10 or more qubits start at the
+// cap; smaller ones sweep before transient nodes pile up far beyond
+// anything a state of their width can keep alive. MaybeGC doubles
+// either threshold when a sweep frees too little.
+func gcStartNodes(n int) int {
+	if n >= 10 {
+		return 250000
+	}
+	return max(8192, 1<<(n+8))
 }
 
 // NumQubits returns the register size the package was created for.

@@ -690,3 +690,22 @@ func TestRandomCircuitNormPreserved(t *testing.T) {
 		t.Fatalf("final norm %v", n2)
 	}
 }
+
+// TestGateBuildersDoNotAllocate: building a gate diagram whose nodes
+// already exist allocates nothing — the builders' factor matrices stay
+// off the heap. Every worker compiles one gate diagram per circuit op,
+// so a per-gate allocation multiplies with the worker count.
+func TestGateBuildersDoNotAllocate(t *testing.T) {
+	p := NewPackage(4)
+	defer p.Release()
+	u := Mat2{{0, 1}, {1, 0}}
+	ctl := []Control{{Qubit: 0}, {Qubit: 2, Negative: true}}
+	p.SingleQubitGate(u, 1)
+	p.ControlledGate(u, 3, ctl)
+	if n := testing.AllocsPerRun(100, func() { p.SingleQubitGate(u, 1) }); n != 0 {
+		t.Errorf("SingleQubitGate: %v allocations per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { p.ControlledGate(u, 3, ctl) }); n != 0 {
+		t.Errorf("ControlledGate: %v allocations per call, want 0", n)
+	}
+}

@@ -187,12 +187,11 @@ func (p *Package) GarbageCollect() int {
 
 // SetGCThresholds overrides the populations at which MaybeGC triggers
 // a collection: nodes is the combined unique-table population (vector
-// plus matrix nodes; default 250000), weights the interned-weight
-// count (default 400000). Non-positive arguments leave the respective
-// threshold unchanged. Lower thresholds trade collection time for a
-// smaller peak footprint, higher ones the reverse; either way the
-// adaptive doubling of MaybeGC still applies on ineffective sweeps.
-// See docs/PERFORMANCE.md for tuning guidance.
+// plus matrix nodes), weights the interned-weight count; the start
+// values come from the register width (see gcStartNodes). Non-positive
+// arguments leave the respective threshold unchanged, and the adaptive
+// doubling of MaybeGC still applies on ineffective sweeps. It is a seam
+// for tests of the collector; production code does not call it.
 func (p *Package) SetGCThresholds(nodes, weights int) {
 	if nodes > 0 {
 		p.gcThreshold = nodes

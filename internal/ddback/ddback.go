@@ -63,6 +63,7 @@ func New(c *circuit.Circuit) (*Backend, error) {
 		dampCache:  make(map[dampKey]dd.MEdge),
 		projCache:  make(map[projKey]dd.MEdge),
 	}
+	var ctl []dd.Control
 	for i := range c.Ops {
 		op := &c.Ops[i]
 		if op.Kind != circuit.KindGate {
@@ -73,7 +74,8 @@ func New(c *circuit.Circuit) (*Backend, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ddback: op %d: %w", i, err)
 		}
-		g := b.pkg.ControlledGate(dd.Mat2(u), op.Target, ddControls(op.Controls))
+		ctl = appendControls(ctl[:0], op.Controls)
+		g := b.pkg.ControlledGate(dd.Mat2(u), op.Target, ctl)
 		b.pkg.RefM(g)
 		b.gates[i] = g
 	}
@@ -86,12 +88,13 @@ func Factory() sim.Factory {
 	return func(c *circuit.Circuit) (sim.Backend, error) { return New(c) }
 }
 
-func ddControls(cs []circuit.Control) []dd.Control {
-	out := make([]dd.Control, len(cs))
-	for i, c := range cs {
-		out[i] = dd.Control{Qubit: c.Qubit, Negative: c.Negative}
+// appendControls appends the circuit controls to dst in dd form; New
+// reuses one buffer for every gate.
+func appendControls(dst []dd.Control, cs []circuit.Control) []dd.Control {
+	for _, c := range cs {
+		dst = append(dst, dd.Control{Qubit: c.Qubit, Negative: c.Negative})
 	}
-	return out
+	return dst
 }
 
 // Name implements sim.Backend.

@@ -180,8 +180,8 @@ type segState struct {
 	gates int
 }
 
-// ckptStats accumulates the checkpointing effect of one work chunk;
-// the engine flushes it into the process telemetry per chunk.
+// ckptStats accumulates the checkpointing effect of one claim;
+// the engine flushes it into the process telemetry per claim.
 type ckptStats struct {
 	applied int // gate applications executed
 	skipped int // gate applications avoided via restores

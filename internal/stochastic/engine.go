@@ -76,11 +76,17 @@ func RunContext(ctx context.Context, c *circuit.Circuit, factory sim.Factory, mo
 }
 
 // RunBatch executes a set of (circuit, noise-point) jobs through one
-// shared worker pool of the given size (0 means GOMAXPROCS). Work is
-// dispatched in chunks of Options.ChunkSize trajectories; run j of a
-// job always uses RNG seed Opts.Seed+j and per-chunk partial sums are
-// reduced in run order, so every job's result is bit-identical to a
-// standalone Run with any worker count.
+// shared worker pool of the given size (0 means GOMAXPROCS). Workers
+// claim min(Options.ChunkSize, ceil(target/workers)) trajectories at a
+// time, so a job with fewer chunks than workers still uses every
+// worker. Run j of a job always uses RNG seed Opts.Seed+j, and each
+// fixed chunk of Options.ChunkSize runs is summed in run order, so the
+// reduction order depends on ChunkSize alone. With one worker a job's
+// result repeats bit for bit and matches a standalone Run. With more,
+// a DD backend's tolerance interning depends on which runs it executed
+// before, so tracked probabilities can differ in the last bits between
+// schedules; histograms differ only where such a difference flips a
+// sampled branch.
 //
 // The returned slice is indexed like jobs. Jobs that fail (invalid
 // input, backend error, zero completed runs) have a nil entry and
@@ -109,6 +115,11 @@ func RunBatch(ctx context.Context, factory sim.Factory, jobs []Job, workers int)
 	}
 	if workers < 1 {
 		workers = 1
+	}
+	for _, js := range states {
+		if js != nil {
+			js.claim = min(js.job.Opts.ChunkSize, (js.target+workers-1)/workers)
+		}
 	}
 	e := &engine{factory: factory, jobs: states, workers: workers, start: time.Now(), ctx: ctx}
 
@@ -158,18 +169,18 @@ type jobState struct {
 	target     int     // planned trajectories after adaptive stopping
 	exhausted  bool    // adaptive requirement exceeded the Runs budget
 	hasMeasure bool
-	// started and deadline are set when the job's first chunk is
+	// started and deadline are set when the job's first claim is
 	// dispatched (not at engine start), so in a batch every job
 	// reports its own elapsed time and gets its own Timeout budget
 	// even though jobs run through the pool sequentially.
 	started  time.Time
 	deadline time.Time // zero until first dispatch, or when Timeout is unset
 
-	// chunks holds one accumulator per fixed chunk of the run-index
-	// space, committed by whichever worker executed it; the final
-	// reduction merges them in chunk order so float sums are
-	// independent of scheduling.
-	chunks []*accumulator
+	// numChunks is the number of fixed ChunkSize blocks of the
+	// run-index space (the reduction unit); claim is the number of runs
+	// a worker takes per dequeue, set by RunBatch.
+	numChunks int
+	claim     int
 
 	// opQubits caches Circuit.Ops[i].Qubits() for noisy jobs: the noise
 	// model consults the touched qubits after every gate of every
@@ -184,9 +195,10 @@ type jobState struct {
 	plan *noise.Plan
 
 	// Guarded by engine.mu:
+	red          reduction // committed runs, folded per chunk
 	next         int       // next run index to dispatch
 	done         int       // completed runs
-	ended        time.Time // time of the job's last committed chunk
+	ended        time.Time // time of the job's last committed claim
 	lastProgress int
 	progTracked  []float64
 	progFid      float64
@@ -241,8 +253,8 @@ func prepareJob(job Job) (*jobState, error) {
 			js.exhausted = true
 		}
 	}
-	numChunks := (js.target + job.Opts.ChunkSize - 1) / job.Opts.ChunkSize
-	js.chunks = make([]*accumulator, numChunks)
+	js.numChunks = (js.target + job.Opts.ChunkSize - 1) / job.Opts.ChunkSize
+	js.red.init(js.numChunks, job.Opts.ChunkSize, len(job.Opts.TrackStates)+1, js.target)
 	js.progTracked = make([]float64, len(job.Opts.TrackStates))
 	if job.Model.Enabled() {
 		js.opQubits = make([][]int, len(job.Circuit.Ops))
@@ -261,7 +273,7 @@ func prepareJob(job Job) (*jobState, error) {
 }
 
 // engine drives one RunBatch invocation: a shared worker pool pulling
-// chunks of trajectories off a list of jobs.
+// claims of trajectories off a list of jobs.
 type engine struct {
 	factory sim.Factory
 	jobs    []*jobState
@@ -270,13 +282,13 @@ type engine struct {
 	ctx     context.Context
 
 	mu          sync.Mutex
-	cur         int    // first job that may still have undispatched chunks
+	cur         int    // first job that may still have undispatched runs
 	cbBusy      bool   // a progress callback is in flight (see commit)
 	backendName string // engine name, captured at first compile (telemetry)
 }
 
 // compiled is a worker-private backend instance for one job, created
-// lazily the first time the worker draws a chunk of that job.
+// lazily the first time the worker claims runs of that job.
 type compiled struct {
 	backend sim.Backend
 	snapper sim.Snapshotter
@@ -346,7 +358,7 @@ func (e *engine) worker() {
 		}
 	}()
 	for {
-		js, first, count := e.nextChunk()
+		js, first, count := e.nextClaim()
 		if js == nil {
 			return
 		}
@@ -371,14 +383,15 @@ func (e *engine) worker() {
 			}
 			cache[js] = wb
 		}
-		e.runChunk(js, wb, first, count)
+		acc, deadlineHit := e.runClaim(js, wb, first, count)
+		e.commit(js, acc, first, deadlineHit)
 	}
 }
 
-// nextChunk claims the next block of run indices, skipping jobs that
+// nextClaim claims the next js.claim run indices, skipping jobs that
 // are fully dispatched, failed, or past their deadline. It returns a
 // nil jobState when no work remains or the context is cancelled.
-func (e *engine) nextChunk() (*jobState, int, int) {
+func (e *engine) nextClaim() (*jobState, int, int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.ctx.Err() != nil {
@@ -403,10 +416,7 @@ func (e *engine) nextChunk() (*jobState, int, int) {
 			continue
 		}
 		first := js.next
-		count := js.job.Opts.ChunkSize
-		if first+count > js.target {
-			count = js.target - first
-		}
+		count := min(js.claim, js.target-first)
 		js.next = first + count
 		return js, first, count
 	}
@@ -468,14 +478,14 @@ func (e *engine) failJob(js *jobState, err error) {
 	e.mu.Unlock()
 }
 
-// runChunk executes trajectories [first, first+count) of a job on the
-// worker's private backend and commits the chunk's partial sums. The
-// context and the job deadline are checked between trajectories, so a
-// cancelled chunk commits the prefix it completed.
-func (e *engine) runChunk(js *jobState, wb *compiled, first, count int) {
+// runClaim executes trajectories [first, first+count) of a job on the
+// worker's private backend and returns what they recorded, for the
+// caller to commit. The context and the job deadline are checked
+// between trajectories, so a cancelled claim returns the prefix it
+// completed; deadlineHit reports that the deadline stopped it.
+func (e *engine) runClaim(js *jobState, wb *compiled, first, count int) (acc *accumulator, deadlineHit bool) {
 	opts := &js.job.Opts
-	acc := newAccumulator(len(opts.TrackStates))
-	deadlineHit := false
+	acc = newAccumulator()
 	var st ckptStats
 	var chanCounts noise.ChannelCounts
 	for k := 0; k < count; k++ {
@@ -500,14 +510,16 @@ func (e *engine) runChunk(js *jobState, wb *compiled, first, count int) {
 		if js.hasMeasure {
 			acc.classical[wb.clbits[0]]++
 		}
-		for i, idx := range opts.TrackStates {
-			acc.tracked[i] += wb.backend.Probability(idx)
+		for _, idx := range opts.TrackStates {
+			acc.vals = append(acc.vals, wb.backend.Probability(idx))
 		}
+		fid := 0.0
 		if wb.snapper != nil {
-			acc.fidelity += wb.snapper.FidelityTo(wb.ref)
+			fid = wb.snapper.FidelityTo(wb.ref)
 		}
+		acc.vals = append(acc.vals, fid)
 	}
-	e.commit(js, acc, first, deadlineHit)
+	telemetry.Trajectories.Add(int64(acc.runs))
 	telemetry.GateApplications.Add(int64(st.applied))
 	telemetry.CheckpointGatesSkipped.Add(int64(st.skipped))
 	telemetry.CheckpointForks.Add(int64(st.forks))
@@ -517,26 +529,31 @@ func (e *engine) runChunk(js *jobState, wb *compiled, first, count int) {
 		}
 	}
 	wb.reportTableStats()
+	return acc, deadlineHit
 }
 
-// commit stores a chunk's accumulator and fires the progress callback
-// when due. The snapshot is built under the engine lock but the
-// callback itself runs outside it, so a slow Options.OnProgress never
-// stalls chunk dispatch; at most one callback is in flight (cbBusy),
-// which both serialises delivery in Done order and coalesces bursts.
-// Skipped ticks are recovered later because lastProgress only
-// advances when a callback actually fires (finish delivers the final
-// snapshot unconditionally).
+// commit folds a claim's runs into the job's reduction, releases the
+// accumulator, and fires the progress callback when due. The snapshot
+// is built under the engine lock but the callback itself runs outside
+// it, so a slow Options.OnProgress never stalls dispatch; at most one
+// callback is in flight (cbBusy), which both serialises delivery in
+// Done order and coalesces bursts. Skipped ticks are recovered later
+// because lastProgress only advances when a callback actually fires
+// (finish delivers the final snapshot unconditionally).
 func (e *engine) commit(js *jobState, acc *accumulator, first int, deadlineHit bool) {
-	telemetry.Trajectories.Add(int64(acc.runs))
 	e.mu.Lock()
-	js.chunks[first/js.job.Opts.ChunkSize] = acc
+	js.red.add(acc, first)
 	js.done += acc.runs
 	js.ended = time.Now()
-	for i := range acc.tracked {
-		js.progTracked[i] += acc.tracked[i]
+	stride := js.red.stride
+	for k := 0; k < acc.runs; k++ {
+		v := acc.vals[k*stride : (k+1)*stride]
+		for i := range js.progTracked {
+			js.progTracked[i] += v[i]
+		}
+		js.progFid += v[stride-1]
 	}
-	js.progFid += acc.fidelity
+	acc.release()
 	if deadlineHit {
 		js.timedOut = true
 		js.next = js.target
@@ -590,23 +607,14 @@ func (e *engine) jobIndex(js *jobState) int {
 	return 0
 }
 
-// finish reduces a job's chunk accumulators — in chunk order, so the
-// result is independent of which workers ran which chunks — into its
+// finish reduces a job's committed runs (see reduction) into its
 // Result.
 func (e *engine) finish(js *jobState) (*Result, error) {
 	if js.err != nil {
 		return nil, js.err
 	}
-	total := newAccumulator(len(js.job.Opts.TrackStates))
-	for i, acc := range js.chunks {
-		if acc != nil {
-			total.merge(acc)
-			acc.release()
-			js.chunks[i] = nil
-		}
-	}
 	interrupted := e.ctx.Err() != nil && js.done < js.target && !js.timedOut
-	if total.runs == 0 {
+	if js.done == 0 {
 		if interrupted {
 			return nil, fmt.Errorf("stochastic: no runs completed: %w", e.ctx.Err())
 		}
@@ -619,30 +627,43 @@ func (e *engine) finish(js *jobState) (*Result, error) {
 		js.lastProgress = js.done
 		cb(e.progressLocked(js))
 	}
+	res := js.result(e.workers)
+	res.Elapsed = js.ended.Sub(js.started)
+	res.TimedOut = js.timedOut
+	res.Interrupted = interrupted
+	res.Checkpointed = js.checkpointed
+	// Runs > 0 implies at least one claim ran, so a backend was
+	// compiled and backendName is set.
+	telemetry.BackendSeconds.With(e.backendName).Add(res.Elapsed.Seconds())
+	telemetry.BackendJobs.With(e.backendName).Inc()
+	return res, nil
+}
+
+// result assembles the numerical fields of the job's Result from its
+// reduction; the scheduling fields (Elapsed, stop flags) are left to
+// the caller.
+func (js *jobState) result(workers int) *Result {
+	total := &js.red.total
+	sum := js.red.sum()
+	tracked := len(js.job.Opts.TrackStates)
 	res := &Result{
 		Runs:             total.runs,
 		TargetRuns:       js.target,
 		Counts:           total.counts,
 		ClassicalCounts:  total.classical,
-		TrackedProbs:     total.tracked,
 		Properties:       js.props,
 		ConfidenceRadius: obs.ConfidenceRadius(total.runs, js.props, js.delta),
-		Elapsed:          js.ended.Sub(js.started),
-		TimedOut:         js.timedOut,
 		BudgetExhausted:  js.exhausted,
-		Interrupted:      interrupted,
-		Checkpointed:     js.checkpointed,
-		Workers:          e.workers,
+		Workers:          workers,
 	}
-	for i := range res.TrackedProbs {
-		res.TrackedProbs[i] /= float64(total.runs)
+	if tracked > 0 {
+		res.TrackedProbs = sum[:tracked]
+		for i := range res.TrackedProbs {
+			res.TrackedProbs[i] /= float64(total.runs)
+		}
 	}
 	if js.job.Opts.TrackFidelity {
-		res.MeanFidelity = total.fidelity / float64(total.runs)
+		res.MeanFidelity = sum[tracked] / float64(total.runs)
 	}
-	// Runs > 0 implies at least one chunk ran, so a backend was
-	// compiled and backendName is set.
-	telemetry.BackendSeconds.With(e.backendName).Add(res.Elapsed.Seconds())
-	telemetry.BackendJobs.With(e.backendName).Inc()
-	return res, nil
+	return res
 }

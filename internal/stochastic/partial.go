@@ -5,19 +5,19 @@ import (
 	"fmt"
 	"time"
 
-	"ddsim/internal/obs"
 	"ddsim/internal/sim"
 )
 
 // This file is the distribution seam of the trajectory engine: the
-// chunked run-index space that RunBatch dispatches to goroutines is
-// exposed so that chunks can be computed by *other processes* and the
-// partial sums merged back bit-identically. The contract mirrors the
+// chunked run-index space that RunBatch reduces over is exposed so
+// that chunks can be computed by *other processes* and the partial
+// sums merged back bit-identically. The contract mirrors the
 // in-process one exactly — run j uses RNG seed Seed+j, every chunk is
-// a fixed block of the run-index space accumulated in run order, and
-// the final reduction merges per-chunk sums strictly in chunk order —
-// so a cluster that leases chunk ranges to workers (internal/cluster)
-// reproduces a single-node same-seed Result bit for bit.
+// a fixed block of the run-index space summed in run order, and the
+// final reduction merges per-chunk sums strictly in chunk order — so a
+// cluster that leases chunk ranges to workers (internal/cluster)
+// reproduces the reduction of a single-node same-seed Result bit for
+// bit, given backends that compute the same per-run values.
 
 // ChunkPlan describes the fixed chunk layout of one job's run-index
 // space, as the engine would dispatch it. The plan is a pure function
@@ -52,7 +52,7 @@ func PlanChunks(job Job) (ChunkPlan, error) {
 	return ChunkPlan{
 		Target:     js.target,
 		ChunkSize:  js.job.Opts.ChunkSize,
-		NumChunks:  len(js.chunks),
+		NumChunks:  js.numChunks,
 		Exhausted:  js.exhausted,
 		Properties: js.props,
 		Delta:      js.delta,
@@ -70,11 +70,11 @@ func (p ChunkPlan) ChunkRuns(c int) int {
 	return n
 }
 
-// ChunkSum is the serialisable partial sum of one chunk: exactly the
-// engine-internal accumulator a worker goroutine commits, in wire
-// form. Float fields survive a JSON round trip bit-exactly (Go
-// marshals float64 in shortest round-trip form), so sums computed on
-// a remote worker reduce to the same Result as local ones.
+// ChunkSum is the serialisable partial sum of one chunk: exactly what
+// the in-process reduction folds for that chunk, in wire form. Float
+// fields survive a JSON round trip bit-exactly (Go marshals float64 in
+// shortest round-trip form), so sums computed on a remote worker
+// reduce to the same Result as local ones.
 type ChunkSum struct {
 	// Chunk is the chunk index within the job's plan.
 	Chunk int `json:"chunk"`
@@ -109,9 +109,9 @@ func RunChunks(ctx context.Context, factory sim.Factory, job Job, first, count i
 	if err != nil {
 		return nil, err
 	}
-	if first < 0 || count < 1 || first+count > len(js.chunks) {
+	if first < 0 || count < 1 || first+count > js.numChunks {
 		return nil, fmt.Errorf("stochastic: chunk range [%d,%d) outside plan of %d chunks",
-			first, first+count, len(js.chunks))
+			first, first+count, js.numChunks)
 	}
 	// started only feeds progress snapshots (never fired here: the wire
 	// options cannot carry OnProgress), but keep it sane regardless.
@@ -126,23 +126,20 @@ func RunChunks(ctx context.Context, factory sim.Factory, job Job, first, count i
 	sums := make([]ChunkSum, 0, count)
 	for c := first; c < first+count; c++ {
 		lo := c * size
-		n := size
-		if lo+n > js.target {
-			n = js.target - lo
-		}
-		e.runChunk(js, wb, lo, n)
-		acc := js.chunks[c]
-		if acc == nil || acc.runs != n {
+		n := min(size, js.target-lo)
+		acc, _ := e.runClaim(js, wb, lo, n)
+		if acc.runs != n {
 			// The context was cancelled mid-chunk; the partial prefix
 			// must not escape.
+			runs := acc.runs
+			acc.release()
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			return nil, fmt.Errorf("stochastic: chunk %d incomplete (%d of %d runs)", c, accRuns(acc), n)
+			return nil, fmt.Errorf("stochastic: chunk %d incomplete (%d of %d runs)", c, runs, n)
 		}
-		sums = append(sums, chunkSumOf(c, acc))
+		sums = append(sums, chunkSumOf(c, acc, len(js.job.Opts.TrackStates)))
 		acc.release()
-		js.chunks[c] = nil
 		if onChunk != nil {
 			onChunk(c - first + 1)
 		}
@@ -150,17 +147,12 @@ func RunChunks(ctx context.Context, factory sim.Factory, job Job, first, count i
 	return sums, nil
 }
 
-func accRuns(a *accumulator) int {
-	if a == nil {
-		return 0
-	}
-	return a.runs
-}
-
-// chunkSumOf copies an accumulator into its wire form (the
+// chunkSumOf folds a whole chunk's runs into its wire form (the
 // accumulator's maps are pooled and must not escape).
-func chunkSumOf(c int, a *accumulator) ChunkSum {
-	s := ChunkSum{Chunk: c, Runs: a.runs, Fidelity: a.fidelity}
+func chunkSumOf(c int, a *accumulator, tracked int) ChunkSum {
+	sum := make([]float64, tracked+1)
+	foldRuns(sum, a.vals, tracked+1)
+	s := ChunkSum{Chunk: c, Runs: a.runs, Fidelity: sum[tracked]}
 	if len(a.counts) > 0 {
 		s.Counts = make(map[uint64]int, len(a.counts))
 		for k, v := range a.counts {
@@ -173,8 +165,8 @@ func chunkSumOf(c int, a *accumulator) ChunkSum {
 			s.Classical[k] = v
 		}
 	}
-	if len(a.tracked) > 0 {
-		s.Tracked = append([]float64(nil), a.tracked...)
+	if tracked > 0 {
+		s.Tracked = sum[:tracked]
 	}
 	return s
 }
@@ -196,60 +188,34 @@ func ReduceChunks(job Job, sums []ChunkSum, workers int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(sums) != len(js.chunks) {
+	if len(sums) != js.numChunks {
 		return nil, fmt.Errorf("stochastic: reduce got %d chunk sums, plan has %d chunks",
-			len(sums), len(js.chunks))
+			len(sums), js.numChunks)
 	}
 	size := js.job.Opts.ChunkSize
 	tracked := len(js.job.Opts.TrackStates)
-	total := &accumulator{
-		counts:    make(map[uint64]int),
-		classical: make(map[uint64]int),
-		tracked:   make([]float64, tracked),
-	}
+	red := &js.red
 	for i := range sums {
 		cs := &sums[i]
 		if cs.Chunk != i {
 			return nil, fmt.Errorf("stochastic: chunk sum %d carries index %d (missing or out of order)", i, cs.Chunk)
 		}
-		want := size
-		if i*size+want > js.target {
-			want = js.target - i*size
-		}
-		if cs.Runs != want {
+		if want := min(size, js.target-i*size); cs.Runs != want {
 			return nil, fmt.Errorf("stochastic: chunk %d has %d runs, plan requires %d", i, cs.Runs, want)
 		}
 		if len(cs.Tracked) != tracked && len(cs.Tracked) != 0 {
 			return nil, fmt.Errorf("stochastic: chunk %d tracks %d states, job tracks %d", i, len(cs.Tracked), tracked)
 		}
 		for k, v := range cs.Counts {
-			total.counts[k] += v
+			red.total.counts[k] += v
 		}
 		for k, v := range cs.Classical {
-			total.classical[k] += v
+			red.total.classical[k] += v
 		}
-		for t := range cs.Tracked {
-			total.tracked[t] += cs.Tracked[t]
-		}
-		total.fidelity += cs.Fidelity
-		total.runs += cs.Runs
+		red.total.runs += cs.Runs
+		sum := red.sums[i*red.stride : (i+1)*red.stride]
+		copy(sum, cs.Tracked)
+		sum[tracked] = cs.Fidelity
 	}
-	res := &Result{
-		Runs:             total.runs,
-		TargetRuns:       js.target,
-		Counts:           total.counts,
-		ClassicalCounts:  total.classical,
-		TrackedProbs:     total.tracked,
-		Properties:       js.props,
-		ConfidenceRadius: obs.ConfidenceRadius(total.runs, js.props, js.delta),
-		BudgetExhausted:  js.exhausted,
-		Workers:          workers,
-	}
-	for i := range res.TrackedProbs {
-		res.TrackedProbs[i] /= float64(total.runs)
-	}
-	if js.job.Opts.TrackFidelity {
-		res.MeanFidelity = total.fidelity / float64(total.runs)
-	}
-	return res, nil
+	return js.result(workers), nil
 }

@@ -64,9 +64,9 @@ type Options struct {
 	// Workers is the number of concurrent workers; 0 means GOMAXPROCS.
 	// Ignored by RunBatch, which sizes one shared pool for all jobs.
 	Workers int `json:"workers,omitempty"`
-	// Seed makes the whole simulation deterministic: run j uses an RNG
-	// seeded with Seed+j regardless of which worker executes it, so
-	// results are bit-identical across worker counts.
+	// Seed fixes every trajectory: run j uses an RNG seeded with Seed+j
+	// whichever worker executes it. At Workers = 1 results repeat bit
+	// for bit; across worker counts see RunBatch.
 	Seed int64 `json:"seed,omitempty"`
 	// Shots is the number of basis-state samples drawn from each final
 	// state (default 1).
@@ -127,9 +127,11 @@ type Options struct {
 	// ProgressEvery is the number of completed runs between OnProgress
 	// calls (default 512).
 	ProgressEvery int `json:"progress_every,omitempty"`
-	// ChunkSize is the number of trajectories a worker claims per
-	// dequeue (default 64). Chunks are fixed blocks of the run-index
-	// space, so results stay bit-identical for any worker count.
+	// ChunkSize is the reduction unit (default 64): each fixed block of
+	// ChunkSize runs is summed in run order, then the blocks in block
+	// order, so ChunkSize sets the floating-point reduction order and is
+	// part of a job's identity (see Canonical). It also caps how many
+	// runs a worker claims per dequeue.
 	ChunkSize int `json:"chunk_size,omitempty"`
 }
 
@@ -141,8 +143,10 @@ type Options struct {
 // model, so canonicalisation deliberately discards every knob that
 // changes only *how* the work is done:
 //
-//   - Workers and Checkpointing are dropped (results are bit-identical
-//     across worker counts and checkpoint modes by construction);
+//   - Workers and Checkpointing are dropped: checkpoint modes are
+//     bit-identical, and worker counts change only which backend runs
+//     which trajectory, which for the DD backend can move tracked
+//     values in the last bits (see RunBatch);
 //   - OnProgress and ProgressEvery are dropped (observation only);
 //   - Runs, Shots and ChunkSize are normalised to the engine defaults
 //     (ChunkSize is kept: chunk boundaries set the floating-point
@@ -367,31 +371,26 @@ func (r *Result) SampleFraction(idx uint64) float64 {
 	return float64(r.Counts[idx]) / float64(total)
 }
 
+// accumulator collects one claim's runs: integer histograms, which
+// merge in any order, and each run's float values in run order (see
+// reduction).
 type accumulator struct {
 	counts    map[uint64]int
 	classical map[uint64]int
-	tracked   []float64
-	fidelity  float64
+	vals      []float64
 	runs      int
 }
 
-// accPool recycles chunk accumulators across runChunk calls: a long
-// job churns through target/ChunkSize of them, and the histogram maps
-// keep their capacity across reuse. Accumulators whose maps escape
-// into a Result (the finish totals) are simply never released.
+// accPool recycles claim accumulators across claims: a long job churns
+// through target/claim of them, and the histogram maps and value slice
+// keep their capacity across reuse.
 var accPool = sync.Pool{New: func() interface{} { return new(accumulator) }}
 
-func newAccumulator(tracked int) *accumulator {
+func newAccumulator() *accumulator {
 	a := accPool.Get().(*accumulator)
 	if a.counts == nil {
 		a.counts = make(map[uint64]int)
 		a.classical = make(map[uint64]int)
-	}
-	if cap(a.tracked) < tracked {
-		a.tracked = make([]float64, tracked)
-	} else {
-		a.tracked = a.tracked[:tracked]
-		clear(a.tracked)
 	}
 	return a
 }
@@ -401,24 +400,101 @@ func newAccumulator(tracked int) *accumulator {
 func (a *accumulator) release() {
 	clear(a.counts)
 	clear(a.classical)
-	a.tracked = a.tracked[:0]
-	a.fidelity = 0
+	a.vals = a.vals[:0]
 	a.runs = 0
 	accPool.Put(a)
 }
 
-func (a *accumulator) merge(b *accumulator) {
-	for k, v := range b.counts {
-		a.counts[k] += v
+// reduction folds a job's committed runs into the totals of its Result.
+// Histograms and the run count merge in any order. Each run carries
+// stride float values — the TrackStates probabilities, then the
+// fidelity — and these are summed per fixed chunk of size runs, in run
+// order starting from 0, and the chunk sums in chunk order: the order
+// one worker running the whole job would use, whichever claims
+// delivered the runs. A chunk that arrives in pieces keeps its runs'
+// values until it is complete, so per-run memory is bounded by the
+// chunks in flight, not by the run count.
+type reduction struct {
+	size, stride, target int
+	total                accumulator           // histograms and run count (vals unused)
+	sums                 []float64             // chunk c's sum at [c*stride, (c+1)*stride)
+	partial              map[int]*partialChunk // chunks with some but not all runs recorded
+}
+
+// partialChunk holds the per-run values of a chunk still in flight.
+// Runs not yet recorded hold 0, which leaves a sum unchanged.
+type partialChunk struct {
+	vals []float64
+	left int
+}
+
+func (r *reduction) init(numChunks, size, stride, target int) {
+	r.size, r.stride, r.target = size, stride, target
+	r.total = accumulator{counts: make(map[uint64]int), classical: make(map[uint64]int)}
+	r.sums = make([]float64, numChunks*stride)
+}
+
+// add records the runs [first, first+a.runs) that a claim completed.
+func (r *reduction) add(a *accumulator, first int) {
+	for k, v := range a.counts {
+		r.total.counts[k] += v
 	}
-	for k, v := range b.classical {
-		a.classical[k] += v
+	for k, v := range a.classical {
+		r.total.classical[k] += v
 	}
-	for i := range b.tracked {
-		a.tracked[i] += b.tracked[i]
+	r.total.runs += a.runs
+	for j, k := first, 0; k < a.runs; {
+		c := j / r.size
+		lo, hi := c*r.size, min((c+1)*r.size, r.target)
+		n := min(hi-j, a.runs-k)
+		vals := a.vals[k*r.stride : (k+n)*r.stride]
+		sum := r.sums[c*r.stride : (c+1)*r.stride]
+		if j == lo && n == hi-lo {
+			foldRuns(sum, vals, r.stride)
+		} else {
+			pc := r.partial[c]
+			if pc == nil {
+				pc = &partialChunk{vals: make([]float64, (hi-lo)*r.stride), left: hi - lo}
+				if r.partial == nil {
+					r.partial = make(map[int]*partialChunk)
+				}
+				r.partial[c] = pc
+			}
+			copy(pc.vals[(j-lo)*r.stride:], vals)
+			if pc.left -= n; pc.left == 0 {
+				foldRuns(sum, pc.vals, r.stride)
+				delete(r.partial, c)
+			}
+		}
+		j += n
+		k += n
 	}
-	a.fidelity += b.fidelity
-	a.runs += b.runs
+}
+
+// sum folds the chunks left incomplete by a cancelled or timed-out job
+// (the runs they have, in run order) and returns the sum of all chunk
+// sums in chunk order.
+func (r *reduction) sum() []float64 {
+	for c, pc := range r.partial {
+		foldRuns(r.sums[c*r.stride:(c+1)*r.stride], pc.vals, r.stride)
+		delete(r.partial, c)
+	}
+	total := make([]float64, r.stride)
+	for c := 0; c < len(r.sums); c += r.stride {
+		for i := range total {
+			total[i] += r.sums[c+i]
+		}
+	}
+	return total
+}
+
+// foldRuns adds per-run values (stride per run) to sum in run order.
+func foldRuns(sum, vals []float64, stride int) {
+	for k := 0; k < len(vals); k += stride {
+		for i := range sum {
+			sum[i] += vals[k+i]
+		}
+	}
 }
 
 func circuitMeasures(c *circuit.Circuit) bool {
