@@ -5,7 +5,9 @@
 // time is gated on the summed runtime of the cells that completed in
 // BOTH reports, and allocation footprint on the summed allocs/op of
 // those cells (a signal robust to noisy runners — allocation counts
-// do not change when the machine is merely busy).
+// do not change when the machine is merely busy). Reports recorded
+// with a different Go toolchain or GOMAXPROCS are still compared, under
+// a warning line that names both values.
 //
 // Usage:
 //
@@ -24,8 +26,10 @@ import (
 // report mirrors the subset of benchtab's jsonReport the comparison
 // needs; unknown fields are ignored so the formats can grow.
 type report struct {
-	Runs   int     `json:"runs"`
-	Tables []table `json:"tables"`
+	GoVersion  string  `json:"go_version"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	Runs       int     `json:"runs"`
+	Tables     []table `json:"tables"`
 }
 
 type table struct {
@@ -117,6 +121,11 @@ func run(basePath, curPath string, timeSlack, allocSlack float64, stdout, stderr
 	if err != nil {
 		fmt.Fprintln(stderr, "benchcmp:", err)
 		return 2
+	}
+
+	if base.GoVersion != cur.GoVersion || base.GOMAXPROCS != cur.GOMAXPROCS {
+		fmt.Fprintf(stderr, "benchcmp: WARNING: unlike runs compared: go_version %q (baseline) vs %q (current), gomaxprocs %d vs %d\n",
+			base.GoVersion, cur.GoVersion, base.GOMAXPROCS, cur.GOMAXPROCS)
 	}
 
 	baseCells := index(base)

@@ -9,11 +9,10 @@ import (
 	"testing"
 )
 
-// mkReport writes a minimal benchtab-shaped report and returns its
-// path. Each entry is (cellName, status, seconds, allocsPerOp).
-func mkReport(t *testing.T, name string, cells []cell) string {
-	t.Helper()
-	r := report{
+// synthetic is a minimal benchtab-shaped report over four cells: two
+// rows of two columns.
+func synthetic(cells []cell) report {
+	return report{
 		Runs: 10,
 		Tables: []table{{
 			Title:   "Table T — synthetic",
@@ -24,6 +23,16 @@ func mkReport(t *testing.T, name string, cells []cell) string {
 			},
 		}},
 	}
+}
+
+// mkReport writes synthetic(cells) and returns its path.
+func mkReport(t *testing.T, name string, cells []cell) string {
+	t.Helper()
+	return writeReport(t, name, synthetic(cells))
+}
+
+func writeReport(t *testing.T, name string, r report) string {
+	t.Helper()
 	data, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
@@ -171,5 +180,31 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if code, _, _ := runCmp(t, good, empty, 0.1, 0.1); code != 2 {
 		t.Fatalf("tableless current: exit %d, want 2", code)
+	}
+}
+
+// Reports from different toolchains or core counts are still compared
+// with the same gate, under one warning line naming both values.
+func TestUnlikeRunsWarn(t *testing.T) {
+	r := synthetic([]cell{
+		{Status: "ok", Seconds: 1.0}, {Status: "ok", Seconds: 1.0},
+		{Status: "ok", Seconds: 1.0}, {Status: "ok", Seconds: 1.0},
+	})
+	r.GoVersion, r.GOMAXPROCS = "go1.24.0", 1
+	base := writeReport(t, "base.json", r)
+	same := writeReport(t, "same.json", r)
+	r.GoVersion, r.GOMAXPROCS = "go1.22.5", 2
+	cur := writeReport(t, "cur.json", r)
+
+	code, out, errOut := runCmp(t, base, cur, 0.10, 0.10)
+	if code != 0 || !strings.Contains(out, "bench check OK") {
+		t.Fatalf("exit %d, stdout: %s, stderr: %s", code, out, errOut)
+	}
+	want := `benchcmp: WARNING: unlike runs compared: go_version "go1.24.0" (baseline) vs "go1.22.5" (current), gomaxprocs 1 vs 2` + "\n"
+	if errOut != want {
+		t.Fatalf("stderr %q, want %q", errOut, want)
+	}
+	if _, _, errOut := runCmp(t, base, same, 0.10, 0.10); strings.Contains(errOut, "WARNING") {
+		t.Fatalf("like-for-like comparison warned: %s", errOut)
 	}
 }

@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// FuzzInternTol feeds one lookup sequence to both lookup planes (swiss
-// and chained) and demands bit-identical representatives. For every
-// fuzzed value it also probes boundary-straddling derivatives — ±tol/2
-// (must alias), ±2·tol (must not), ±(cell−tol/2) (adjacent grid cell,
-// reachable only through the neighbour probe) — which is exactly where
-// a semantic divergence between the planes would hide. Periodic
+// FuzzInternTol feeds one lookup sequence to the swiss table and the
+// map-based reference (refTable) and demands bit-identical
+// representatives. For every fuzzed value it also probes
+// boundary-straddling derivatives — ±tol/2 (must alias), ±2·tol (must
+// not), ±(cell−tol/2) (adjacent grid cell, reachable only through the
+// neighbour probe) — which is exactly where a semantic divergence
+// between the two would hide. Periodic
 // identical mark/sweep rounds exercise chain filtering and the
 // tombstone-free rebuild mid-sequence.
 //
@@ -37,20 +38,21 @@ func FuzzInternTol(f *testing.F) {
 	f.Add(seed(0, 1, -1, math.Sqrt2/2, -math.Sqrt2/2, 1+5e-11, math.Sqrt2/2-5e-11, 1e-11))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, tol := range []float64{Tolerance, 1e-14} {
-			sw := newTableTolOpts(tol, true, true)
-			ch := newTableTolOpts(tol, false, true)
+			sw := NewTableTol(tol)
+			ch := newRefTable(tol)
 			cell := 4 * tol
-			var swVals, chVals []*Value
+			var swVals []*Value
+			var chVals []*refValue
 			probe := func(re, im float64) {
 				if math.IsNaN(re) || math.IsInf(re, 0) || math.IsNaN(im) || math.IsInf(im, 0) {
 					return
 				}
 				a := sw.Lookup(re, im)
-				b := ch.Lookup(re, im)
-				if math.Float64bits(a.Re()) != math.Float64bits(b.Re()) ||
-					math.Float64bits(a.Im()) != math.Float64bits(b.Im()) {
-					t.Fatalf("tol=%g Lookup(%g,%g): swiss %v%+vi, chained %v%+vi",
-						tol, re, im, a.Re(), a.Im(), b.Re(), b.Im())
+				b := ch.lookup(re, im)
+				if math.Float64bits(a.Re()) != math.Float64bits(b.re) ||
+					math.Float64bits(a.Im()) != math.Float64bits(b.im) {
+					t.Fatalf("tol=%g Lookup(%g,%g): table %v%+vi, reference %v%+vi",
+						tol, re, im, a.Re(), a.Im(), b.re, b.im)
 				}
 				swVals = append(swVals, a)
 				chVals = append(chVals, b)
@@ -71,23 +73,23 @@ func FuzzInternTol(f *testing.F) {
 					probe(re+d, im-d)
 				}
 				// Identical mark/sweep rounds partway through: keep every
-				// other interned value alive in both planes, then keep
-				// interning into the (partly recycled) tables.
+				// other interned value alive in both, then keep interning
+				// into the (partly recycled) table.
 				if i%5 == 4 {
 					sw.BeginMark()
-					ch.BeginMark()
+					ch.beginMark()
 					for j := 0; j < len(swVals); j += 2 {
 						sw.Mark(swVals[j])
-						ch.Mark(chVals[j])
+						chVals[j].marked = true
 					}
-					if ds, dc := sw.Sweep(), ch.Sweep(); ds != dc {
-						t.Fatalf("tol=%g: sweep dropped %d (swiss) vs %d (chained)", tol, ds, dc)
+					if ds, dc := sw.Sweep(), ch.sweep(); ds != dc {
+						t.Fatalf("tol=%g: sweep dropped %d (table) vs %d (reference)", tol, ds, dc)
 					}
 					swVals, chVals = swVals[:0], chVals[:0]
 				}
 			}
-			if sw.Count() != ch.Count() {
-				t.Fatalf("tol=%g: swiss holds %d values, chained %d", tol, sw.Count(), ch.Count())
+			if sw.Count() != ch.count {
+				t.Fatalf("tol=%g: table holds %d values, reference %d", tol, sw.Count(), ch.count)
 			}
 		}
 	})

@@ -6,12 +6,6 @@ import (
 	"testing"
 )
 
-// newPlanePair returns a swiss and a chained table with identical
-// tolerance and recycling, for differential checks.
-func newPlanePair(tol float64) (sw, ch *Table) {
-	return newTableTolOpts(tol, true, true), newTableTolOpts(tol, false, true)
-}
-
 // boundaryProbes derives lookups that straddle the hash-grid cell
 // boundaries around (re,im): offsets of ±tol/2 (same representative),
 // ±2·tol (distinct representative) and ±(cell−tol/2) (adjacent cell,
@@ -25,31 +19,32 @@ func boundaryProbes(t *Table, re, im float64) [][2]float64 {
 	return out
 }
 
-// feedBoth sends one lookup to both planes and fails unless the
-// returned representatives are bit-identical.
-func feedBoth(t *testing.T, sw, ch *Table, re, im float64) (*Value, *Value) {
+// feedBoth sends one lookup to the table and the reference and fails
+// unless the returned representatives are bit-identical.
+func feedBoth(t *testing.T, sw *Table, ref *refTable, re, im float64) (*Value, *refValue) {
 	t.Helper()
 	a := sw.Lookup(re, im)
-	b := ch.Lookup(re, im)
-	if math.Float64bits(a.Re()) != math.Float64bits(b.Re()) ||
-		math.Float64bits(a.Im()) != math.Float64bits(b.Im()) {
-		t.Fatalf("tol=%g Lookup(%v,%v): swiss %v%+vi, chained %v%+vi",
-			sw.tol, re, im, a.Re(), a.Im(), b.Re(), b.Im())
+	b := ref.lookup(re, im)
+	if math.Float64bits(a.Re()) != math.Float64bits(b.re) ||
+		math.Float64bits(a.Im()) != math.Float64bits(b.im) {
+		t.Fatalf("tol=%g Lookup(%v,%v): table %v%+vi, reference %v%+vi",
+			sw.tol, re, im, a.Re(), a.Im(), b.re, b.im)
 	}
 	return a, b
 }
 
 // TestSwissChainedLookupIdentical drives identical random workloads —
 // including cell-boundary straddlers and derived Mul/Div/Add/Neg/Conj
-// traffic — through both lookup planes at the default and the exact-
-// engine tolerance, demanding bit-identical representatives
-// throughout. This is the table-level core of the kernel's
-// differential guarantee.
+// traffic — through the swiss table and the map-based reference
+// (refTable) at the default and the exact-engine tolerance, demanding
+// bit-identical representatives throughout. This is the table-level
+// core of the kernel's differential guarantee.
 func TestSwissChainedLookupIdentical(t *testing.T) {
 	for _, tol := range []float64{Tolerance, 1e-14} {
-		sw, ch := newPlanePair(tol)
+		sw, ch := NewTableTol(tol), newRefTable(tol)
 		rng := rand.New(rand.NewSource(41))
-		var swVals, chVals []*Value
+		var swVals []*Value
+		var chVals []*refValue
 		for i := 0; i < 4000; i++ {
 			var re, im float64
 			switch i % 3 {
@@ -77,35 +72,31 @@ func TestSwissChainedLookupIdentical(t *testing.T) {
 			if len(swVals) > 1 {
 				j := rng.Intn(len(swVals) - 1)
 				sa, ca := swVals[j], chVals[j]
-				cmp := func(x, y *Value) {
-					if math.Float64bits(x.Re()) != math.Float64bits(y.Re()) ||
-						math.Float64bits(x.Im()) != math.Float64bits(y.Im()) {
-						t.Fatalf("tol=%g derived op diverged: %v vs %v", tol, x, y)
-					}
-				}
-				cmp(sw.Mul(a, sa), ch.Mul(b, ca))
-				cmp(sw.Add(a, sa), ch.Add(b, ca))
-				cmp(sw.Neg(a), ch.Neg(b))
-				cmp(sw.Conj(a), ch.Conj(b))
+				sameBits(t, "Mul", sw.Mul(a, sa), ch.mul(b, ca))
+				sameBits(t, "Add", sw.Add(a, sa), ch.add(b, ca))
+				sameBits(t, "Neg", sw.Neg(a), ch.neg(b))
+				sameBits(t, "Conj", sw.Conj(a), ch.conj(b))
 				if sa != sw.Zero {
-					cmp(sw.Div(a, sa), ch.Div(b, ca))
+					sameBits(t, "Div", sw.Div(a, sa), ch.div(b, ca))
 				}
 			}
 		}
-		if sw.Count() != ch.Count() {
-			t.Fatalf("tol=%g: swiss holds %d values, chained %d", tol, sw.Count(), ch.Count())
+		if sw.Count() != ch.count {
+			t.Fatalf("tol=%g: table holds %d values, reference %d", tol, sw.Count(), ch.count)
 		}
 	}
 }
 
-// TestSwissSweepIdentical marks the same survivor set in both planes
-// and checks Sweep agrees on the drop count, the surviving population,
-// and the representatives returned afterwards — covering the per-cell
-// chain filtering and the tombstone-free control-word rebuild.
+// TestSwissSweepIdentical marks the same survivor set in the table and
+// the reference and checks Sweep agrees on the drop count, the
+// surviving population, and the representatives returned afterwards —
+// covering the per-cell chain filtering and the tombstone-free
+// control-word rebuild.
 func TestSwissSweepIdentical(t *testing.T) {
-	sw, ch := newPlanePair(Tolerance)
+	sw, ch := NewTable(), newRefTable(Tolerance)
 	rng := rand.New(rand.NewSource(97))
-	var swVals, chVals []*Value
+	var swVals []*Value
+	var chVals []*refValue
 	for i := 0; i < 3000; i++ {
 		re, im := rng.NormFloat64(), rng.NormFloat64()
 		a, b := feedBoth(t, sw, ch, re, im)
@@ -115,20 +106,20 @@ func TestSwissSweepIdentical(t *testing.T) {
 	// Pin a few root weights; mark every third value.
 	for i := 0; i < 10; i++ {
 		sw.Pin(swVals[i*7])
-		ch.Pin(chVals[i*7])
+		chVals[i*7].pins++
 	}
 	sw.BeginMark()
-	ch.BeginMark()
+	ch.beginMark()
 	for i := 0; i < len(swVals); i += 3 {
 		sw.Mark(swVals[i])
-		ch.Mark(chVals[i])
+		chVals[i].marked = true
 	}
-	ds, dc := sw.Sweep(), ch.Sweep()
+	ds, dc := sw.Sweep(), ch.sweep()
 	if ds != dc {
-		t.Fatalf("Sweep dropped %d (swiss) vs %d (chained)", ds, dc)
+		t.Fatalf("Sweep dropped %d (table) vs %d (reference)", ds, dc)
 	}
-	if sw.Count() != ch.Count() {
-		t.Fatalf("post-sweep counts differ: %d vs %d", sw.Count(), ch.Count())
+	if sw.Count() != ch.count {
+		t.Fatalf("post-sweep counts differ: %d vs %d", sw.Count(), ch.count)
 	}
 	// Survivors must still intern to themselves; new traffic must stay
 	// identical after the rebuild (recycled slots included).
@@ -148,7 +139,7 @@ func TestSwissSweepIdentical(t *testing.T) {
 // previously interned representative is still found by a fresh lookup
 // of its exact coordinates, and the live count matches.
 func TestSwissCellGrowth(t *testing.T) {
-	tb := newTableTolOpts(Tolerance, true, true)
+	tb := NewTable()
 	const n = 20000 // well past the 4096-slot initial directory
 	vals := make([]*Value, 0, n)
 	for i := 0; i < n; i++ {
@@ -169,10 +160,10 @@ func TestSwissCellGrowth(t *testing.T) {
 
 // TestSwissNeighborGuarantee: the 4·tol cell geometry must keep the
 // "home cell plus at most the boundary-adjacent cell per axis"
-// single-probe guarantee in the swiss plane: a value interned just
+// single-probe guarantee: a value interned just
 // under a cell boundary is found when probed from the far side.
 func TestSwissNeighborGuarantee(t *testing.T) {
-	tb := newTableTolOpts(Tolerance, true, true)
+	tb := NewTable()
 	cell := tb.cell
 	base := 123 * cell // a cell boundary
 	v := tb.Lookup(base-tb.tol/4, 0)
@@ -190,11 +181,10 @@ func TestSwissNeighborGuarantee(t *testing.T) {
 	}
 }
 
-// TestSwissPinSurvivesSweep: Pin/Unpin semantics are plane-independent
-// — a pinned root weight survives an unmarked sweep in the swiss plane
-// and its storage is not recycled.
+// TestSwissPinSurvivesSweep: a pinned root weight survives an unmarked
+// sweep of the cell directory and its storage is not recycled.
 func TestSwissPinSurvivesSweep(t *testing.T) {
-	tb := newTableTolOpts(Tolerance, true, true)
+	tb := NewTable()
 	v := tb.Lookup(0.123456, -0.654321)
 	tb.Pin(v)
 	tb.BeginMark()

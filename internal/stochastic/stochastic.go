@@ -381,7 +381,7 @@ type accumulator struct {
 	runs      int
 }
 
-// accPool recycles claim accumulators across claims: a long job churns
+// accPool reuses claim accumulators across claims: a long job churns
 // through target/claim of them, and the histogram maps and value slice
 // keep their capacity across reuse.
 var accPool = sync.Pool{New: func() interface{} { return new(accumulator) }}
