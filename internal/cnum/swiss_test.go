@@ -1,6 +1,7 @@
 package cnum
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,13 +24,8 @@ func boundaryProbes(t *Table, re, im float64) [][2]float64 {
 // unless the returned representatives are bit-identical.
 func feedBoth(t *testing.T, sw *Table, ref *refTable, re, im float64) (*Value, *refValue) {
 	t.Helper()
-	a := sw.Lookup(re, im)
-	b := ref.lookup(re, im)
-	if math.Float64bits(a.Re()) != math.Float64bits(b.re) ||
-		math.Float64bits(a.Im()) != math.Float64bits(b.im) {
-		t.Fatalf("tol=%g Lookup(%v,%v): table %v%+vi, reference %v%+vi",
-			sw.tol, re, im, a.Re(), a.Im(), b.re, b.im)
-	}
+	a, b := sw.Lookup(re, im), ref.lookup(re, im)
+	sameBits(t, fmt.Sprintf("tol=%g Lookup(%v,%v)", sw.tol, re, im), a, b)
 	return a, b
 }
 

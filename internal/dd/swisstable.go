@@ -282,8 +282,8 @@ func (p *Package) gcM() int {
 	return collected
 }
 
-// forEachV/forEachM visit every resident node (weight marking during
-// GarbageCollect).
+// forEach visits every resident node (weight marking during
+// GarbageCollect, invariant checks in tests).
 func (t *vTable) forEach(fn func(*VNode)) {
 	for g := range t.ctrl {
 		for m := swiss.MatchOccupied(t.ctrl[g]); m != 0; m = swiss.Next(m) {
