@@ -19,7 +19,10 @@ func TestPeakNodesFitRegister(t *testing.T) {
 	c := qbench.VQEUCCSD(6, 10).Circuit
 	b := build(t, c)
 	defer b.Release()
-	model := noise.PaperDefaults()
+	plan, err := noise.PaperDefaults().Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(1))
 	for run := 0; run < 200; run++ {
 		b.Reset()
@@ -28,7 +31,9 @@ func TestPeakNodesFitRegister(t *testing.T) {
 				continue
 			}
 			b.ApplyOp(i)
-			model.ApplyAfterGate(b, c.Ops[i].Qubits(), rng)
+			if on := plan.At(i); on != nil {
+				on.ApplyPost(b, rng)
+			}
 		}
 	}
 	const bound = 40000

@@ -37,8 +37,12 @@ type Simulator struct {
 	kraus2 map[krausKey2][]dd.MEdge
 }
 
+// krausKey names a cached single-qubit channel: by name for the
+// measurement and reset channels, by content key for compiled noise
+// channels (name empty).
 type krausKey struct {
 	channel string
+	ch      noise.ChanKey
 	qubit   int
 }
 
@@ -113,48 +117,58 @@ func (s *Simulator) ApplyChannel(name string, kraus [][2][2]complex128, qubit in
 	key := krausKey{channel: name, qubit: qubit}
 	ops, ok := s.kraus[key]
 	if !ok {
-		for _, k := range kraus {
-			e := s.pkg.SingleQubitGate(dd.Mat2(k), qubit)
-			s.pkg.RefM(e)
-			ops = append(ops, e)
-		}
-		s.kraus[key] = ops
+		ops = s.embedKraus1(key, kraus)
 	}
-	acc := s.pkg.ZeroMEdge()
-	for _, k := range ops {
-		term := s.pkg.MulMM(s.pkg.MulMM(k, s.rho), s.pkg.ConjugateTranspose(k))
-		acc = s.pkg.AddM(acc, term)
-	}
-	s.setRho(acc)
+	s.applyKraus(ops)
 }
 
-// ApplyChan1 applies one compiled single-qubit channel exactly; the
-// embedded operators are cached under the channel's content key.
-func (s *Simulator) ApplyChan1(ch *noise.Chan1) {
-	s.ApplyChannel(ch.Key(), ch.Kraus(), ch.Qubit)
+// ApplyChans1 applies compiled single-qubit channels exactly, in
+// order. The embedded operators are cached under each channel's
+// content key, so a channel's Kraus set is built only on a cache miss.
+func (s *Simulator) ApplyChans1(chs []noise.Chan1) {
+	for k := range chs {
+		ch := &chs[k]
+		key := krausKey{ch: ch.Key(), qubit: ch.Qubit}
+		ops, ok := s.kraus[key]
+		if !ok {
+			ops = s.embedKraus1(key, ch.Kraus())
+		}
+		s.applyKraus(ops)
+	}
 }
 
 // ApplyChan2 applies one compiled correlated two-qubit channel
-// exactly.
+// exactly on the ordered pair (Q0, Q1), Q0 on the high bit:
+// ρ → Σ_k K ρ K†. Each 4×4 operator is embedded once, on a cache
+// miss, as Σ_{ij} |i⟩⟨j|_{Q0} ⊗ B_{ij,Q1}.
 func (s *Simulator) ApplyChan2(ch *noise.Chan2) {
-	s.ApplyChannel2(ch.Key(), ch.Kraus(), ch.Q0, ch.Q1)
-}
-
-// ApplyChannel2 applies a two-qubit channel given by 4×4 Kraus
-// operators on the ordered pair (q0, q1), q0 on the high bit:
-// ρ → Σ_k K ρ K†. Each operator is embedded once as
-// Σ_{ij} |i⟩⟨j|_{q0} ⊗ B_{ij,q1} and cached.
-func (s *Simulator) ApplyChannel2(name string, kraus [][4][4]complex128, q0, q1 int) {
-	key := krausKey2{channel: name, q0: q0, q1: q1}
+	key := krausKey2{channel: ch.Key(), q0: ch.Q0, q1: ch.Q1}
 	ops, ok := s.kraus2[key]
 	if !ok {
-		for _, k := range kraus {
-			e := s.embed2(k, q0, q1)
+		for _, k := range ch.Kraus() {
+			e := s.embed2(k, ch.Q0, ch.Q1)
 			s.pkg.RefM(e)
 			ops = append(ops, e)
 		}
 		s.kraus2[key] = ops
 	}
+	s.applyKraus(ops)
+}
+
+// embedKraus1 embeds and caches a single-qubit Kraus set.
+func (s *Simulator) embedKraus1(key krausKey, kraus [][2][2]complex128) []dd.MEdge {
+	ops := make([]dd.MEdge, 0, len(kraus))
+	for _, k := range kraus {
+		e := s.pkg.SingleQubitGate(dd.Mat2(k), key.qubit)
+		s.pkg.RefM(e)
+		ops = append(ops, e)
+	}
+	s.kraus[key] = ops
+	return ops
+}
+
+// applyKraus maps ρ → Σ_k K ρ K† over embedded operators.
+func (s *Simulator) applyKraus(ops []dd.MEdge) {
 	acc := s.pkg.ZeroMEdge()
 	for _, k := range ops {
 		term := s.pkg.MulMM(s.pkg.MulMM(k, s.rho), s.pkg.ConjugateTranspose(k))
@@ -183,23 +197,6 @@ func (s *Simulator) embed2(u [4][4]complex128, q0, q1 int) dd.MEdge {
 		}
 	}
 	return acc
-}
-
-// ApplyNoiseAfterGate applies the exact channels of the stochastic
-// model to every touched qubit, in the driver's order.
-func (s *Simulator) ApplyNoiseAfterGate(m noise.Model, qubits []int) {
-	ops := m.KrausOps()
-	for _, q := range qubits {
-		if k, ok := ops["depolarizing"]; ok {
-			s.ApplyChannel("depolarizing", k, q)
-		}
-		if k, ok := ops["damping"]; ok {
-			s.ApplyChannel("damping", k, q)
-		}
-		if k, ok := ops["phaseflip"]; ok {
-			s.ApplyChannel("phaseflip", k, q)
-		}
-	}
 }
 
 // MeasureDecohere dephases one qubit (ρ → P0ρP0 + P1ρP1), the
@@ -423,15 +420,11 @@ func RunCircuit(c *circuit.Circuit, model noise.Model) (*Simulator, error) {
 			return nil, fmt.Errorf("ddensity: classically conditioned gates are not supported")
 		}
 	}
-	s := New(c.NumQubits)
-	var plan *noise.Plan
-	if model.Extended() {
-		var err2 error
-		plan, err2 = model.Compile(c)
-		if err2 != nil {
-			return nil, err2
-		}
+	plan, err := model.Compile(c)
+	if err != nil {
+		return nil, err
 	}
+	s := New(c.NumQubits)
 	for i := range c.Ops {
 		op := &c.Ops[i]
 		switch op.Kind {
@@ -442,21 +435,14 @@ func RunCircuit(c *circuit.Circuit, model noise.Model) (*Simulator, error) {
 			}
 			on := plan.At(i)
 			if on != nil {
-				for k := range on.Pre {
-					s.ApplyChan1(&on.Pre[k])
-				}
+				s.ApplyChans1(on.Pre)
 			}
 			s.ApplyGate(u, op.Target, op.Controls)
-			switch {
-			case on != nil:
-				for k := range on.Post {
-					s.ApplyChan1(&on.Post[k])
-				}
+			if on != nil {
+				s.ApplyChans1(on.Post)
 				for k := range on.Post2 {
 					s.ApplyChan2(&on.Post2[k])
 				}
-			case plan == nil && model.Enabled():
-				s.ApplyNoiseAfterGate(model, op.Qubits())
 			}
 		case circuit.KindMeasure:
 			s.MeasureDecohere(op.Target)

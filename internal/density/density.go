@@ -27,17 +27,12 @@ type Simulator struct {
 	dim int
 	rho [][]complex128
 
-	// superModel/super cache the fused noise superoperator of the last
-	// model seen by ApplyNoiseAfterGate (one model per run in
-	// practice).
-	superModel *noise.Model
-	super      [4][4]complex128
-
-	// chanSuper/chanSuper2 cache per-channel superoperators of
-	// compiled extended-model channels, keyed by the channel's
-	// operator-content key. Clones share the maps: branches of one
-	// exact run evolve sequentially in a single goroutine.
-	chanSuper  map[string]*[4][4]complex128
+	// runSuper/chanSuper2 cache the fused superoperators of compiled
+	// single-qubit channel runs and the superoperators of two-qubit
+	// channels, keyed by operator content. Clones share the maps:
+	// branches of one exact run evolve sequentially in a single
+	// goroutine.
+	runSuper   map[runKey]*[4][4]complex128
 	chanSuper2 map[string]*[16][16]complex128
 }
 
@@ -148,27 +143,6 @@ func cloneMatrix(m [][]complex128) [][]complex128 {
 	return out
 }
 
-// ApplyNoiseAfterGate applies the exact channel versions of the
-// stochastic noise model to each touched qubit, in the same order the
-// stochastic driver uses (depolarising → damping → phase flip). The
-// three channels are fused into one cached superoperator and applied
-// in a single O(4^n) blockwise pass per qubit — the dense engine's
-// hot path — instead of one clone-and-conjugate pass per Kraus
-// operator.
-func (s *Simulator) ApplyNoiseAfterGate(m noise.Model, qubits []int) {
-	if s.superModel == nil || *s.superModel != m {
-		sup, enabled := m.Superoperator()
-		if !enabled {
-			return
-		}
-		mc := m
-		s.superModel, s.super = &mc, sup
-	}
-	for _, q := range qubits {
-		s.ApplySuperOp(&s.super, q)
-	}
-}
-
 // ApplySuperOp applies a single-qubit superoperator to one qubit: for
 // every 2×2 block of ρ over the qubit's bit position, the vectorised
 // block [ρ00, ρ01, ρ10, ρ11] is mapped through sup. One pass touches
@@ -195,19 +169,56 @@ func (s *Simulator) ApplySuperOp(sup *[4][4]complex128, qubit int) {
 	}
 }
 
-// ApplyChan1 applies one compiled single-qubit channel exactly, via
-// a cached per-channel superoperator.
-func (s *Simulator) ApplyChan1(ch *noise.Chan1) {
-	if s.chanSuper == nil {
-		s.chanSuper = make(map[string]*[4][4]complex128)
+// ApplyChans1 applies compiled single-qubit channels exactly, in
+// order. Each run of consecutive channels on one qubit (a gate's
+// depolarising, damping and phase flip) is fused into one
+// superoperator, so the run costs one O(4^n) pass instead of one per
+// channel.
+func (s *Simulator) ApplyChans1(chs []noise.Chan1) {
+	for i := 0; i < len(chs); {
+		j := i + 1
+		for j < len(chs) && chs[j].Qubit == chs[i].Qubit {
+			j++
+		}
+		s.ApplySuperOp(s.fused(chs[i:j]), chs[i].Qubit)
+		i = j
 	}
-	sup, ok := s.chanSuper[ch.Key()]
-	if !ok {
-		v := noise.Super1(ch.Kraus())
-		sup = &v
-		s.chanSuper[ch.Key()] = sup
+}
+
+// runKey identifies the content of a run of up to three channels on
+// one qubit, the most Compile binds to a qubit before or after a gate.
+type runKey struct {
+	n    int
+	keys [3]noise.ChanKey
+}
+
+var identSuper = [4][4]complex128{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}}
+
+// fused returns the superoperator of a run of channels on one qubit,
+// composed from the identity in run order and cached by content.
+func (s *Simulator) fused(run []noise.Chan1) *[4][4]complex128 {
+	var key runKey
+	cacheable := len(run) <= len(key.keys)
+	if cacheable {
+		key.n = len(run)
+		for k := range run {
+			key.keys[k] = run[k].Key()
+		}
+		if sup, ok := s.runSuper[key]; ok {
+			return sup
+		}
 	}
-	s.ApplySuperOp(sup, ch.Qubit)
+	sup := identSuper
+	for k := range run {
+		sup = noise.ComposeSuper(noise.Super1(run[k].Kraus()), sup)
+	}
+	if cacheable {
+		if s.runSuper == nil {
+			s.runSuper = make(map[runKey]*[4][4]complex128)
+		}
+		s.runSuper[key] = &sup
+	}
+	return &sup
 }
 
 // ApplyChan2 applies one compiled correlated two-qubit channel
@@ -336,7 +347,7 @@ func (s *Simulator) Reset(qubit int) {
 func (s *Simulator) Clone() *Simulator {
 	return &Simulator{
 		n: s.n, dim: s.dim, rho: cloneMatrix(s.rho),
-		chanSuper: s.chanSuper, chanSuper2: s.chanSuper2,
+		runSuper: s.runSuper, chanSuper2: s.chanSuper2,
 	}
 }
 
@@ -442,12 +453,9 @@ func RunCircuit(c *circuit.Circuit, model noise.Model) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	var plan *noise.Plan
-	if model.Extended() {
-		plan, err = model.Compile(c)
-		if err != nil {
-			return nil, err
-		}
+	plan, err := model.Compile(c)
+	if err != nil {
+		return nil, err
 	}
 	for i := range c.Ops {
 		op := &c.Ops[i]
@@ -459,21 +467,14 @@ func RunCircuit(c *circuit.Circuit, model noise.Model) (*Simulator, error) {
 			}
 			on := plan.At(i)
 			if on != nil {
-				for k := range on.Pre {
-					s.ApplyChan1(&on.Pre[k])
-				}
+				s.ApplyChans1(on.Pre)
 			}
 			s.ApplyGate(u, op.Target, op.Controls)
-			switch {
-			case on != nil:
-				for k := range on.Post {
-					s.ApplyChan1(&on.Post[k])
-				}
+			if on != nil {
+				s.ApplyChans1(on.Post)
 				for k := range on.Post2 {
 					s.ApplyChan2(&on.Post2[k])
 				}
-			case plan == nil && model.Enabled():
-				s.ApplyNoiseAfterGate(model, op.Qubits())
 			}
 		case circuit.KindMeasure:
 			s.MeasureDecohere(op.Target)

@@ -63,6 +63,21 @@ func TestTracePreservedUnderNoise(t *testing.T) {
 	}
 }
 
+// gateChannel compiles a single-channel model against one gate on
+// qubit 0 and returns that channel.
+func gateChannel(t *testing.T, m noise.Model) *noise.Chan1 {
+	t.Helper()
+	plan, err := m.Compile(circuit.New("g", 1).H(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	on := plan.At(0)
+	if on == nil || len(on.Post) != 1 {
+		t.Fatalf("model %v compiled to %+v, want one channel", m, on)
+	}
+	return &on.Post[0]
+}
+
 // TestExample3DepolarizingEnsemble reproduces Example 3: depolarising
 // q0 of a Bell state produces the mixture with
 // P(|00⟩) = P(|11⟩) = 1/2 − p/4 and P(|01⟩) = P(|10⟩) = p/4.
@@ -74,7 +89,7 @@ func TestExample3DepolarizingEnsemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ApplyChannel(noise.Model{Depolarizing: p}.KrausOps()["depolarizing"], 0)
+	s.ApplyChannel(gateChannel(t, noise.Model{Depolarizing: p}).Kraus(), 0)
 
 	probs := s.Probabilities()
 	want := []float64{0.5 - p/4, p / 4, p / 4, 0.5 - p/4}
@@ -96,7 +111,7 @@ func TestExample6DampingChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ApplyChannel(noise.Model{Damping: p}.KrausOps()["damping"], 0)
+	s.ApplyChannel(gateChannel(t, noise.Model{Damping: p}).Kraus(), 0)
 
 	probs := s.Probabilities()
 	if math.Abs(probs[1]-p/2) > 1e-12 {

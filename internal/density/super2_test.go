@@ -83,12 +83,15 @@ func TestApplySuperOp2MatchesBruteForce(t *testing.T) {
 		}
 		// A mildly mixed, entangled state: GHZ evolution plus noise.
 		c := circuit.GHZ(n)
-		m := noise.Model{Depolarizing: 0.05, Damping: 0.1}
+		plan, err := noise.Model{Depolarizing: 0.05, Damping: 0.1}.Compile(c)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range c.Ops {
 			if c.Ops[i].Kind == circuit.KindGate {
 				u, _ := circuit.GateMatrix(c.Ops[i].Name, c.Ops[i].Params)
 				s.ApplyGate(u, c.Ops[i].Target, c.Ops[i].Controls)
-				s.ApplyNoiseAfterGate(m, c.Ops[i].Qubits())
+				s.ApplyChans1(plan.At(i).Post)
 			}
 		}
 

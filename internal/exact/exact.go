@@ -94,10 +94,8 @@ const (
 // receiver types.
 type state interface {
 	ApplyGate(u circuit.Mat2, target int, controls []circuit.Control)
-	ApplyNoiseAfterGate(m noise.Model, qubits []int)
-	// ApplyChan1/ApplyChan2 apply one compiled extended-model channel
-	// exactly (the plan-driven counterpart of ApplyNoiseAfterGate).
-	ApplyChan1(ch *noise.Chan1)
+	// ApplyChans1/ApplyChan2 apply compiled noise channels exactly.
+	ApplyChans1(chs []noise.Chan1)
 	ApplyChan2(ch *noise.Chan2)
 	ProbOne(qubit int) float64
 	MeasureProject(qubit, outcome int) float64
@@ -124,8 +122,7 @@ type state interface {
 type denseState struct{ s *density.Simulator }
 
 func (d denseState) ApplyGate(u circuit.Mat2, t int, c []circuit.Control) { d.s.ApplyGate(u, t, c) }
-func (d denseState) ApplyNoiseAfterGate(m noise.Model, q []int)           { d.s.ApplyNoiseAfterGate(m, q) }
-func (d denseState) ApplyChan1(ch *noise.Chan1)                           { d.s.ApplyChan1(ch) }
+func (d denseState) ApplyChans1(chs []noise.Chan1)                        { d.s.ApplyChans1(chs) }
 func (d denseState) ApplyChan2(ch *noise.Chan2)                           { d.s.ApplyChan2(ch) }
 func (d denseState) ProbOne(q int) float64                                { return d.s.ProbOne(q) }
 func (d denseState) MeasureProject(q, o int) float64                      { return d.s.MeasureProject(q, o) }
@@ -143,8 +140,7 @@ func (d denseState) LiveNodes() int                                       { retu
 type ddState struct{ s *ddensity.Simulator }
 
 func (d ddState) ApplyGate(u circuit.Mat2, t int, c []circuit.Control) { d.s.ApplyGate(u, t, c) }
-func (d ddState) ApplyNoiseAfterGate(m noise.Model, q []int)           { d.s.ApplyNoiseAfterGate(m, q) }
-func (d ddState) ApplyChan1(ch *noise.Chan1)                           { d.s.ApplyChan1(ch) }
+func (d ddState) ApplyChans1(chs []noise.Chan1)                        { d.s.ApplyChans1(chs) }
 func (d ddState) ApplyChan2(ch *noise.Chan2)                           { d.s.ApplyChan2(ch) }
 func (d ddState) ProbOne(q int) float64                                { return d.s.ProbOne(q) }
 func (d ddState) MeasureProject(q, o int) float64                      { return d.s.MeasureProject(q, o) }
@@ -345,37 +341,18 @@ func runJob(ctx context.Context, jobIndex int, job stochastic.Job, workers int) 
 		progressEvery = 512
 	}
 
+	plan, err := model.Compile(c)
+	if err != nil {
+		return nil, err
+	}
 	root, err := newState(backend, c.NumQubits)
 	if err != nil {
 		return nil, err
 	}
 	branches := []*branch{{st: root, weight: 1}}
 	peakBranches := 1
-	// Extended models (device/crosstalk/idle/twirl) run through a
-	// compiled plan; plain models keep the fused-superoperator path.
-	var plan *noise.Plan
-	if model.Extended() {
-		plan, err = model.Compile(c)
-		if err != nil {
-			return nil, err
-		}
-	}
-	noisy := plan == nil && model.Enabled()
-	channelsPerQubit := int64(len(model.KrausOps()))
-	legacyLabels := make([]int, 0, 3)
-	if noisy {
-		for name, lbl := range map[string]int{
-			"depolarizing": noise.LabelDepolarizing,
-			"damping":      noise.LabelDamping,
-			"phaseflip":    noise.LabelPhaseFlip,
-		} {
-			if _, ok := model.KrausOps()[name]; ok {
-				legacyLabels = append(legacyLabels, lbl)
-			}
-		}
-	}
 	var chanCounts noise.ChannelCounts
-	var channels, gates int64
+	var resets, gates int64
 	measures := false
 
 	progress := func(done int) {
@@ -391,6 +368,10 @@ func runJob(ctx context.Context, jobIndex int, job stochastic.Job, workers int) 
 	}
 
 	finishTelemetry := func() {
+		channels := resets
+		for _, n := range chanCounts {
+			channels += n
+		}
 		telemetry.ExactChannelApplications.Add(channels)
 		telemetry.GateApplications.Add(gates)
 		telemetry.ExactBranches.SetMax(int64(peakBranches))
@@ -428,39 +409,22 @@ func runJob(ctx context.Context, jobIndex int, job stochastic.Job, workers int) 
 				finishTelemetry()
 				return nil, fmt.Errorf("exact: op %d: %w", i, err)
 			}
-			qubits := op.Qubits()
 			on := plan.At(i)
 			for _, b := range branches {
 				if op.Cond != nil && !op.Cond.Holds(b.clbits) {
 					continue
 				}
 				if on != nil {
-					for k := range on.Pre {
-						b.st.ApplyChan1(&on.Pre[k])
-						chanCounts[on.Pre[k].Label]++
-						channels++
-					}
+					b.st.ApplyChans1(on.Pre)
 				}
 				b.st.ApplyGate(u, op.Target, op.Controls)
 				gates++
-				switch {
-				case on != nil:
-					for k := range on.Post {
-						b.st.ApplyChan1(&on.Post[k])
-						chanCounts[on.Post[k].Label]++
-						channels++
-					}
+				if on != nil {
+					b.st.ApplyChans1(on.Post)
 					for k := range on.Post2 {
 						b.st.ApplyChan2(&on.Post2[k])
-						chanCounts[on.Post2[k].Label]++
-						channels++
 					}
-				case noisy:
-					b.st.ApplyNoiseAfterGate(model, qubits)
-					channels += channelsPerQubit * int64(len(qubits))
-					for _, l := range legacyLabels {
-						chanCounts[l] += int64(len(qubits))
-					}
+					chanCounts.Add(&on.Counts)
 				}
 			}
 		case circuit.KindMeasure:
@@ -486,7 +450,7 @@ func runJob(ctx context.Context, jobIndex int, job stochastic.Job, workers int) 
 					continue
 				}
 				b.st.Reset(op.Target)
-				channels++
+				resets++
 			}
 		case circuit.KindBarrier:
 		}

@@ -1,11 +1,11 @@
-// Concrete noise-channel instances: the compiled form of the extended
+// Concrete noise-channel instances: the compiled form of a noise
 // model. A Chan1 is one single-qubit channel bound to a qubit, a
 // Chan2 one correlated two-qubit Pauli channel bound to a gate's
-// qubit pair. Both carry a stable key (for superoperator/Kraus-diagram
+// qubit pair. Both have a stable key (for superoperator/Kraus-diagram
 // caches in the exact engines), a Kraus view (for the density-matrix
-// reference and CPTP tests) and a stochastic Apply (for trajectory
-// sampling), so the Monte-Carlo and exact engines consume the same
-// objects.
+// reference and CPTP tests) and a stochastic sampler (for trajectory
+// sampling, via OpNoise), so the Monte-Carlo and exact engines consume
+// the same objects.
 package noise
 
 import (
@@ -54,56 +54,44 @@ var Labels = [LabelCount]string{"depolarizing", "damping", "phaseflip", "twirled
 // chunk of trajectories; the engine flushes it into telemetry.
 type ChannelCounts [LabelCount]int64
 
-// Chan1 is one single-qubit channel instance bound to a qubit.
+// Add accumulates o into c.
+func (c *ChannelCounts) Add(o *ChannelCounts) {
+	for i := range c {
+		c[i] += o[i]
+	}
+}
+
+// Chan1 is one single-qubit channel instance bound to a qubit. It holds
+// no pointers, so a plan's channel slab costs the garbage collector
+// nothing to scan.
 type Chan1 struct {
-	Kind  ChanKind
+	Kind ChanKind
+	// Event selects the event semantics for ChanDamping.
+	Event bool
 	Qubit int
 	// Label indexes Labels for telemetry.
 	Label int
 	// P is the channel probability (γ for damping); unused for
 	// ChanPauli.
 	P float64
-	// Event selects the event semantics for ChanDamping.
-	Event bool
 	// Probs are the I/X/Y/Z probabilities of a ChanPauli channel.
 	Probs [4]float64
-
-	key string
 }
 
-// newChan1 builds a channel instance with its cache key precomputed.
-func newChan1(kind ChanKind, qubit int, p float64, event bool, label int) Chan1 {
-	ch := Chan1{Kind: kind, Qubit: qubit, Label: label, P: p, Event: event}
-	ch.key = ch.buildKey()
-	return ch
+// ChanKey identifies a single-qubit channel's operator content (not its
+// qubit or label): channels with equal keys share superoperators and
+// Kraus diagrams in the exact engines' caches.
+type ChanKey struct {
+	Kind  ChanKind
+	Event bool
+	P     float64
+	Probs [4]float64
 }
 
-// newPauliChan1 builds a general Pauli channel instance.
-func newPauliChan1(qubit int, probs [4]float64, label int) Chan1 {
-	ch := Chan1{Kind: ChanPauli, Qubit: qubit, Label: label, Probs: probs}
-	ch.key = ch.buildKey()
-	return ch
+// Key returns the channel's operator-content key.
+func (ch *Chan1) Key() ChanKey {
+	return ChanKey{Kind: ch.Kind, Event: ch.Event, P: ch.P, Probs: ch.Probs}
 }
-
-func (ch *Chan1) buildKey() string {
-	switch ch.Kind {
-	case ChanDepolarizing:
-		return fmt.Sprintf("depol:%.17g", ch.P)
-	case ChanDamping:
-		return fmt.Sprintf("damp:%.17g:%t", ch.P, ch.Event)
-	case ChanPhaseFlip:
-		return fmt.Sprintf("flip:%.17g", ch.P)
-	case ChanPauli:
-		return fmt.Sprintf("pauli:%.17g,%.17g,%.17g,%.17g",
-			ch.Probs[0], ch.Probs[1], ch.Probs[2], ch.Probs[3])
-	}
-	return "?"
-}
-
-// Key identifies the channel's operator content (not its qubit):
-// channels with equal keys share superoperators and Kraus diagrams in
-// the exact engines' caches.
-func (ch *Chan1) Key() string { return ch.key }
 
 // Kraus returns the channel's Kraus decomposition (ΣK†K = I).
 func (ch *Chan1) Kraus() [][2][2]complex128 {
@@ -148,63 +136,81 @@ func (ch *Chan1) Kraus() [][2][2]complex128 {
 	return nil
 }
 
-// Apply samples the channel on one trajectory. The Kind-specific draw
-// patterns for depolarising, damping and phase flip replicate
-// Model.ApplyAfterGate exactly, so a compiled uniform model consumes
-// the same rng stream as the legacy path.
-func (ch *Chan1) Apply(b sim.Backend, rng *rand.Rand) {
-	switch ch.Kind {
-	case ChanDepolarizing:
-		if rng.Float64() < ch.P {
-			b.ApplyPauli(sim.Pauli(rng.Intn(4)), ch.Qubit)
-		}
-	case ChanDamping:
-		ch.applyDamping(b, rng)
-	case ChanPhaseFlip:
-		if rng.Float64() < ch.P {
-			b.ApplyPauli(sim.PauliZ, ch.Qubit)
-		}
-	case ChanPauli:
-		r := rng.Float64()
-		acc := ch.Probs[1]
-		if r < acc {
-			b.ApplyPauli(sim.PauliX, ch.Qubit)
-			return
-		}
-		acc += ch.Probs[2]
-		if r < acc {
-			b.ApplyPauli(sim.PauliY, ch.Qubit)
-			return
-		}
-		acc += ch.Probs[3]
-		if r < acc {
-			b.ApplyPauli(sim.PauliZ, ch.Qubit)
+// applyChans samples single-qubit channels, in order, on one
+// trajectory. Depolarising draws one Float64 and, when it fires, one
+// Intn(4) for the Pauli (I included); phase flip and Pauli channels
+// draw one Float64; event damping draws one Float64 and, when it
+// fires, relax's draws; exact damping is described at
+// applyExactDamping. The switch sits inside the loop so a channel that
+// does not fire costs no call.
+func applyChans(chs []Chan1, b sim.Backend, rng *rand.Rand) {
+	for i := range chs {
+		ch := &chs[i]
+		switch ch.Kind {
+		case ChanDepolarizing:
+			if rng.Float64() < ch.P {
+				b.ApplyPauli(sim.Pauli(rng.Intn(4)), ch.Qubit)
+			}
+		case ChanDamping:
+			if !ch.Event {
+				ch.applyExactDamping(b, rng)
+			} else if rng.Float64() < ch.P {
+				ch.relax(b, rng)
+			}
+		case ChanPhaseFlip:
+			if rng.Float64() < ch.P {
+				b.ApplyPauli(sim.PauliZ, ch.Qubit)
+			}
+		case ChanPauli:
+			ch.applyPauli(b, rng)
 		}
 	}
 }
 
-// applyDamping mirrors Model.applyDamping for a bound channel.
-func (ch *Chan1) applyDamping(b sim.Backend, rng *rand.Rand) {
-	q := ch.Qubit
-	if ch.Event {
-		if rng.Float64() >= ch.P {
-			return
-		}
-		p1 := b.ProbOne(q)
-		if p1 <= 0 {
-			return
-		}
-		if p1 >= 1 || rng.Float64() < p1 {
-			b.ApplyDamping(q, 1, true, p1)
-		} else {
-			b.ApplyDamping(q, 1, false, 1-p1)
-		}
+// applyPauli fires X, Y or Z with the channel's probabilities from one
+// draw.
+func (ch *Chan1) applyPauli(b sim.Backend, rng *rand.Rand) {
+	r := rng.Float64()
+	acc := ch.Probs[1]
+	if r < acc {
+		b.ApplyPauli(sim.PauliX, ch.Qubit)
 		return
 	}
-	p1 := b.ProbOne(q)
-	pFire := ch.P * p1
-	if pFire <= 0 {
+	acc += ch.Probs[2]
+	if r < acc {
+		b.ApplyPauli(sim.PauliY, ch.Qubit)
 		return
+	}
+	acc += ch.Probs[3]
+	if r < acc {
+		b.ApplyPauli(sim.PauliZ, ch.Qubit)
+	}
+}
+
+// relax realises a fired T1 event (Section III semantics): a
+// full-strength (γ = 1) relaxation, branch-selected by P(q = 1) as in
+// Example 6.
+func (ch *Chan1) relax(b sim.Backend, rng *rand.Rand) {
+	q := ch.Qubit
+	p1 := b.ProbOne(q)
+	if p1 <= 0 {
+		return // qubit already in |0⟩: the event is invisible
+	}
+	if p1 >= 1 || rng.Float64() < p1 {
+		b.ApplyDamping(q, 1, true, p1)
+	} else {
+		b.ApplyDamping(q, 1, false, 1-p1)
+	}
+}
+
+// applyExactDamping realises the exact T1 channel (Example 6 with
+// γ = P): the decay branch fires with probability P·P(q = 1).
+func (ch *Chan1) applyExactDamping(b sim.Backend, rng *rand.Rand) {
+	q := ch.Qubit
+	p1 := b.ProbOne(q)
+	pFire := ch.P * p1 // ‖A0|ψ⟩‖²
+	if pFire <= 0 {
+		return // qubit (numerically) in |0⟩: A1 acts as identity
 	}
 	if rng.Float64() < pFire {
 		b.ApplyDamping(q, ch.P, true, pFire)

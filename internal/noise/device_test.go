@@ -272,12 +272,12 @@ func TestDeviceChannelsCPTPProperty(t *testing.T) {
 			}
 			for _, ch := range on.Pre {
 				if dev := krausComplete1(ch.Kraus()); dev > 1e-12 {
-					t.Fatalf("trial %d op %d: pre channel %s deviates %g", trial, i, ch.Key(), dev)
+					t.Fatalf("trial %d op %d: pre channel %+v deviates %g", trial, i, ch.Key(), dev)
 				}
 			}
 			for _, ch := range on.Post {
 				if dev := krausComplete1(ch.Kraus()); dev > 1e-12 {
-					t.Fatalf("trial %d op %d: post channel %s deviates %g", trial, i, ch.Key(), dev)
+					t.Fatalf("trial %d op %d: post channel %+v deviates %g", trial, i, ch.Key(), dev)
 				}
 			}
 			for _, ch := range on.Post2 {

@@ -10,19 +10,18 @@
 //     p·P(qubit = 1);
 //   - a phase-flip (T2) error: with probability p a Z is applied.
 //
-// The model is backend-independent: it drives any sim.Backend, so the
+// The model is backend-independent: Model.Compile lowers it against a
+// circuit into a Plan whose channels drive any sim.Backend, so the
 // same stochastic trajectories can be simulated with decision
-// diagrams, state vectors or sparse operators.
+// diagrams, state vectors or sparse operators, and the exact
+// density-matrix engines apply the very same channels.
 package noise
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
-
-	"ddsim/internal/sim"
 )
 
 // Model holds the three per-gate/per-qubit error probabilities.
@@ -49,7 +48,7 @@ type Model struct {
 	//     (|1⟩ component dropped to |0⟩) and no-decay projection; with
 	//     probability 1−p the state is bit-for-bit untouched.
 	//
-	// Both are trace-preserving channels (see KrausOps) and both are
+	// Both are trace-preserving channels (see Chan1.Kraus) and both are
 	// validated against the exact density-matrix reference. The event
 	// form is what the paper's evaluation performance implies: the
 	// exact-channel form deforms every touched qubit on every gate,
@@ -99,9 +98,10 @@ func (m Model) Enabled() bool {
 }
 
 // Extended reports whether the model uses any channel beyond the
-// paper's uniform per-gate trio. Extended models run through a
-// compiled Plan; plain models keep the legacy per-gate path (and the
-// legacy rng stream, result caches and JobKeys).
+// paper's uniform per-gate trio. It selects only the JobKey v3
+// appendix (CanonicalExtension), so plain models keep their pre-v3
+// keys and cached results; every enabled model, plain or extended,
+// runs through a compiled Plan.
 func (m Model) Extended() bool {
 	return m.Device != nil || m.Crosstalk != nil || m.Idle != nil || m.Twirled
 }
@@ -248,107 +248,6 @@ func sortedKeys(m map[string]float64) []string {
 	return keys
 }
 
-// ApplyAfterGate stochastically injects errors on each qubit a gate
-// touched, in the fixed order depolarising → damping → phase flip.
-// All randomness comes from rng, so trajectories are reproducible
-// given a seed.
-func (m Model) ApplyAfterGate(b sim.Backend, qubits []int, rng *rand.Rand) {
-	for _, q := range qubits {
-		if m.Depolarizing > 0 && rng.Float64() < m.Depolarizing {
-			// The depolarised qubit receives I, X, Y or Z uniformly.
-			b.ApplyPauli(sim.Pauli(rng.Intn(4)), q)
-		}
-		if m.Damping > 0 {
-			m.applyDamping(b, q, rng)
-		}
-		if m.PhaseFlip > 0 && rng.Float64() < m.PhaseFlip {
-			b.ApplyPauli(sim.PauliZ, q)
-		}
-	}
-}
-
-// applyDamping realises the T1 error in the configured semantics.
-func (m Model) applyDamping(b sim.Backend, q int, rng *rand.Rand) {
-	if m.DampingAsEvent {
-		// Section III event semantics: untouched with prob 1−p.
-		if rng.Float64() >= m.Damping {
-			return
-		}
-		// A relaxation event: full-strength damping (γ = 1), branch
-		// probabilities from the state as in Example 6.
-		p1 := b.ProbOne(q)
-		if p1 <= 0 {
-			return // qubit already in |0⟩: the event is invisible
-		}
-		if p1 >= 1 || rng.Float64() < p1 {
-			b.ApplyDamping(q, 1, true, p1)
-		} else {
-			b.ApplyDamping(q, 1, false, 1-p1)
-		}
-		return
-	}
-	// Exact-channel semantics (Example 6 with γ = p): the branch
-	// probabilities depend on the current state through P(q = 1).
-	p1 := b.ProbOne(q)
-	pFire := m.Damping * p1 // ‖A0|ψ⟩‖²
-	if pFire <= 0 {
-		// Qubit is (numerically) in |0⟩; A1 acts as identity.
-		return
-	}
-	if rng.Float64() < pFire {
-		b.ApplyDamping(q, m.Damping, true, pFire)
-	} else {
-		b.ApplyDamping(q, m.Damping, false, 1-pFire)
-	}
-}
-
-// KrausOps returns the explicit Kraus decomposition of each channel
-// for a damping/depolarising/flip parameter set; used by the exact
-// density-matrix reference simulator and by completeness tests.
-// Each channel is a slice of 2×2 Kraus operators satisfying
-// Σ K†K = I.
-func (m Model) KrausOps() map[string][][2][2]complex128 {
-	out := make(map[string][][2][2]complex128)
-	if m.Depolarizing > 0 {
-		p := m.Depolarizing
-		s := func(f float64) complex128 { return complex(f, 0) }
-		// With probability p the qubit is replaced by a uniformly
-		// random Pauli application (including I): the channel
-		// ρ → (1−p)ρ + p/4 (ρ + XρX + YρY + ZρZ).
-		out["depolarizing"] = [][2][2]complex128{
-			scale2(ident2(), s(sqrt(1-3*p/4))),
-			scale2(pauliX(), s(sqrt(p/4))),
-			scale2(pauliY(), s(sqrt(p/4))),
-			scale2(pauliZ(), s(sqrt(p/4))),
-		}
-	}
-	if m.Damping > 0 {
-		p := m.Damping
-		if m.DampingAsEvent {
-			// With probability p a full relaxation event (γ = 1):
-			// K = {√(1−p)·I, √p·|0⟩⟨1|, √p·|0⟩⟨0|}.
-			out["damping"] = [][2][2]complex128{
-				scale2(ident2(), complex(sqrt(1-p), 0)),
-				{{0, complex(sqrt(p), 0)}, {0, 0}},
-				{{complex(sqrt(p), 0), 0}, {0, 0}},
-			}
-		} else {
-			out["damping"] = [][2][2]complex128{
-				{{0, complex(sqrt(p), 0)}, {0, 0}},
-				{{1, 0}, {0, complex(sqrt(1-p), 0)}},
-			}
-		}
-	}
-	if m.PhaseFlip > 0 {
-		p := m.PhaseFlip
-		out["phaseflip"] = [][2][2]complex128{
-			scale2(ident2(), complex(sqrt(1-p), 0)),
-			scale2(pauliZ(), complex(sqrt(p), 0)),
-		}
-	}
-	return out
-}
-
 // ResetKraus returns the Kraus decomposition of the reset-to-|0⟩
 // channel, K0 = |0⟩⟨0| and K1 = |0⟩⟨1| — trace preserving, final
 // qubit state |0⟩ regardless of prior state or entanglement. Both
@@ -358,27 +257,6 @@ func ResetKraus() [][2][2]complex128 {
 		{{1, 0}, {0, 0}}, // |0⟩⟨0|
 		{{0, 1}, {0, 0}}, // |0⟩⟨1|
 	}
-}
-
-// Superoperator returns the composite single-qubit noise channel of
-// the model — depolarising, then damping, then phase flip, the
-// driver's order — as a 4×4 superoperator acting on the vectorised
-// 2×2 block [ρ00, ρ01, ρ10, ρ11] of each touched qubit, and whether
-// any channel is enabled. Dense density-matrix simulators apply it in
-// a single O(4^n) pass per qubit instead of one clone-and-conjugate
-// pass per Kraus operator, which is the exact engine's hot path.
-func (m Model) Superoperator() ([4][4]complex128, bool) {
-	if !m.Enabled() {
-		return identSuper(), false
-	}
-	ops := m.KrausOps()
-	s := identSuper()
-	for _, name := range []string{"depolarizing", "damping", "phaseflip"} {
-		if k, ok := ops[name]; ok {
-			s = composeSuper(channelSuper(k), s)
-		}
-	}
-	return s, true
 }
 
 // channelSuper vectorises one Kraus set: S[(i,j),(a,b)] = Σ_k
@@ -399,9 +277,11 @@ func channelSuper(kraus [][2][2]complex128) [4][4]complex128 {
 	return s
 }
 
-// composeSuper returns after·before (matrix product), the channel
-// composition "before first".
-func composeSuper(after, before [4][4]complex128) [4][4]complex128 {
+// ComposeSuper returns after·before (matrix product), the channel
+// composition "before first". The dense density-matrix engine fuses
+// consecutive channels on one qubit with it, so each run costs one
+// O(4^n) pass.
+func ComposeSuper(after, before [4][4]complex128) [4][4]complex128 {
 	var out [4][4]complex128
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
@@ -411,14 +291,6 @@ func composeSuper(after, before [4][4]complex128) [4][4]complex128 {
 		}
 	}
 	return out
-}
-
-func identSuper() [4][4]complex128 {
-	var s [4][4]complex128
-	for i := 0; i < 4; i++ {
-		s[i][i] = 1
-	}
-	return s
 }
 
 func conj(c complex128) complex128 { return complex(real(c), -imag(c)) }

@@ -9,6 +9,7 @@ import (
 
 	"ddsim/internal/circuit"
 	"ddsim/internal/ddback"
+	"ddsim/internal/sim"
 )
 
 func TestValidate(t *testing.T) {
@@ -41,8 +42,54 @@ func TestPaperDefaults(t *testing.T) {
 	}
 }
 
-// TestKrausCompleteness checks Σ K†K = I for every channel — the
+// gateNoise compiles m against a single gate on an n-qubit register
+// that touches qubits (target first) and returns the channels bound to
+// it, nil when there are none.
+func gateNoise(m Model, n int, qubits ...int) (*OpNoise, error) {
+	op := circuit.Op{Kind: circuit.KindGate, Name: "x", Target: qubits[0]}
+	for _, q := range qubits[1:] {
+		op.Controls = append(op.Controls, circuit.Control{Qubit: q})
+	}
+	plan, err := m.Compile(circuit.New("gate", n).Append(op))
+	if err != nil {
+		return nil, err
+	}
+	return plan.At(0), nil
+}
+
+// applyAfterGate samples the compiled post-gate channels of m for one
+// gate touching qubits, as the trajectory loop does.
+func applyAfterGate(t *testing.T, m Model, b sim.Backend, qubits []int, rng *rand.Rand) {
+	t.Helper()
+	on, err := gateNoise(m, b.NumQubits(), qubits...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on != nil {
+		on.ApplyPost(b, rng)
+	}
+}
+
+// krausComplete reports whether Σ K†K = I within tol — the
 // trace-preservation condition.
+func krausComplete(ks [][2][2]complex128, tol float64) (bool, [2][2]complex128) {
+	var sum [2][2]complex128
+	for _, k := range ks {
+		// K†K
+		for i := 0; i < 2; i++ {
+			for j := 0; j < 2; j++ {
+				for l := 0; l < 2; l++ {
+					sum[i][j] += cmplx.Conj(k[l][i]) * k[l][j]
+				}
+			}
+		}
+	}
+	ok := cmplx.Abs(sum[0][0]-1) <= tol && cmplx.Abs(sum[1][1]-1) <= tol &&
+		cmplx.Abs(sum[0][1]) <= tol && cmplx.Abs(sum[1][0]) <= tol
+	return ok, sum
+}
+
+// TestKrausCompleteness checks Σ K†K = I for every compiled channel.
 func TestKrausCompleteness(t *testing.T) {
 	models := []Model{
 		PaperDefaults(),
@@ -52,21 +99,13 @@ func TestKrausCompleteness(t *testing.T) {
 		{Depolarizing: 0.1, Damping: 0.2, PhaseFlip: 0.3},
 	}
 	for _, m := range models {
-		for name, ks := range m.KrausOps() {
-			var sum [2][2]complex128
-			for _, k := range ks {
-				// K†K
-				for i := 0; i < 2; i++ {
-					for j := 0; j < 2; j++ {
-						for l := 0; l < 2; l++ {
-							sum[i][j] += cmplx.Conj(k[l][i]) * k[l][j]
-						}
-					}
-				}
-			}
-			if cmplx.Abs(sum[0][0]-1) > 1e-12 || cmplx.Abs(sum[1][1]-1) > 1e-12 ||
-				cmplx.Abs(sum[0][1]) > 1e-12 || cmplx.Abs(sum[1][0]) > 1e-12 {
-				t.Errorf("%s (model %v): ΣK†K = %v", name, m, sum)
+		on, err := gateNoise(m, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ch := range on.Post {
+			if ok, sum := krausComplete(ch.Kraus(), 1e-12); !ok {
+				t.Errorf("%s (model %v): ΣK†K = %v", Labels[ch.Label], m, sum)
 			}
 		}
 	}
@@ -79,19 +118,15 @@ func TestKrausCompletenessProperty(t *testing.T) {
 			Damping:      math.Abs(math.Mod(a, 1)),
 			PhaseFlip:    math.Abs(math.Mod(p, 1)),
 		}
-		for _, ks := range m.KrausOps() {
-			var sum [2][2]complex128
-			for _, k := range ks {
-				for i := 0; i < 2; i++ {
-					for j := 0; j < 2; j++ {
-						for l := 0; l < 2; l++ {
-							sum[i][j] += cmplx.Conj(k[l][i]) * k[l][j]
-						}
-					}
-				}
-			}
-			if cmplx.Abs(sum[0][0]-1) > 1e-9 || cmplx.Abs(sum[1][1]-1) > 1e-9 ||
-				cmplx.Abs(sum[0][1]) > 1e-9 || cmplx.Abs(sum[1][0]) > 1e-9 {
+		on, err := gateNoise(m, 1, 0)
+		if err != nil {
+			return false
+		}
+		if on == nil {
+			return true
+		}
+		for _, ch := range on.Post {
+			if ok, _ := krausComplete(ch.Kraus(), 1e-9); !ok {
 				return false
 			}
 		}
@@ -116,7 +151,7 @@ func TestNoiseKeepsStateNormalised(t *testing.T) {
 	m := Model{Depolarizing: 0.3, Damping: 0.4, PhaseFlip: 0.3}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 300; i++ {
-		m.ApplyAfterGate(b, []int{i % 4}, rng)
+		applyAfterGate(t, m, b, []int{i % 4}, rng)
 		if n2 := b.Norm2(); math.Abs(n2-1) > 1e-9 {
 			t.Fatalf("norm drifted to %v after %d error injections", n2, i+1)
 		}
@@ -137,7 +172,7 @@ func TestDampingDrivesToZeroState(t *testing.T) {
 	m := Model{Damping: 0.5}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
-		m.ApplyAfterGate(b, []int{0, 1}, rng)
+		applyAfterGate(t, m, b, []int{0, 1}, rng)
 	}
 	if p := b.Probability(0); math.Abs(p-1) > 1e-9 {
 		t.Errorf("after heavy damping P(|00⟩) = %v, want 1", p)
@@ -161,7 +196,7 @@ func TestDampingFireFrequency(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		b.Reset()
 		b.ApplyOp(0)
-		m.ApplyAfterGate(b, []int{0}, rng)
+		applyAfterGate(t, m, b, []int{0}, rng)
 		if b.Probability(0) > 0.5 {
 			fires++ // qubit found in |0⟩ ⇒ the decay branch fired
 		}
@@ -189,7 +224,7 @@ func TestPhaseFlipFrequency(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		b.Reset()
 		b.ApplyOp(0)
-		m.ApplyAfterGate(b, []int{0}, rng)
+		applyAfterGate(t, m, b, []int{0}, rng)
 		// Rotate back: H|+⟩=|0⟩, H|−⟩=|1⟩.
 		b.ApplyOp(0)
 		if b.Probability(1) > 0.5 {
@@ -223,7 +258,7 @@ func TestZeroModelIsNoOp(t *testing.T) {
 		before[i] = b.Probability(uint64(i))
 	}
 	rng := rand.New(rand.NewSource(2))
-	(Model{}).ApplyAfterGate(b, []int{0, 1, 2}, rng)
+	applyAfterGate(t, Model{}, b, []int{0, 1, 2}, rng)
 	for i := range before {
 		if got := b.Probability(uint64(i)); got != before[i] {
 			t.Errorf("zero model changed P(%d): %v → %v", i, before[i], got)

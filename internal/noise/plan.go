@@ -1,4 +1,4 @@
-// Plan compilation: lowering an extended Model against a concrete
+// Plan compilation: lowering a Model against a concrete
 // circuit into per-operation channel lists. The stochastic driver and
 // the exact engines both execute the same compiled Plan, so every
 // channel the trajectories sample is exactly the channel the
@@ -101,31 +101,31 @@ func (id *IdleNoise) Validate() error {
 // OpNoise lists the channels bound to one circuit operation: idle
 // decay applied before the gate, single-qubit gate noise after it,
 // then correlated two-qubit noise. A condition-skipped gate skips all
-// of them — untaken gates inflict no noise, idle noise included,
-// matching the legacy driver's semantics.
+// of them: untaken gates inflict no noise, idle noise included.
 type OpNoise struct {
 	Pre   []Chan1
 	Post  []Chan1
 	Post2 []Chan2
+	// Counts tallies Pre, Post and Post2 by telemetry label, so a
+	// runner accounts an executed operation with one ChannelCounts.Add
+	// instead of one increment per channel.
+	Counts ChannelCounts
 }
 
 // ApplyPre samples the pre-gate (idle) channels on one trajectory.
-func (on *OpNoise) ApplyPre(b sim.Backend, rng *rand.Rand, counts *ChannelCounts) {
-	for i := range on.Pre {
-		on.Pre[i].Apply(b, rng)
-		counts[on.Pre[i].Label]++
+// Most operations have none; the length check inlines into the caller
+// and skips the call.
+func (on *OpNoise) ApplyPre(b sim.Backend, rng *rand.Rand) {
+	if len(on.Pre) > 0 {
+		applyChans(on.Pre, b, rng)
 	}
 }
 
 // ApplyPost samples the post-gate channels on one trajectory.
-func (on *OpNoise) ApplyPost(b sim.Backend, rng *rand.Rand, counts *ChannelCounts) {
-	for i := range on.Post {
-		on.Post[i].Apply(b, rng)
-		counts[on.Post[i].Label]++
-	}
+func (on *OpNoise) ApplyPost(b sim.Backend, rng *rand.Rand) {
+	applyChans(on.Post, b, rng)
 	for i := range on.Post2 {
 		on.Post2[i].Apply(b, rng)
-		counts[on.Post2[i].Label]++
 	}
 }
 
@@ -157,35 +157,67 @@ func (p *Plan) Empty() bool {
 }
 
 // Compile lowers the model against a circuit: validates it for the
-// register size, schedules the circuit into moments, and binds idle,
-// gate and crosstalk channels to each operation. Zero-probability
-// channels are dropped, so a plan compiled from a plain uniform model
-// reproduces the legacy driver's channel sequence exactly.
+// register size, schedules the circuit into moments when idle noise is
+// on, and binds idle, gate and crosstalk channels to each operation.
+// Zero-probability channels are dropped, so a plan compiled from the
+// paper's uniform model samples depolarising → damping → phase flip on
+// each touched qubit in target-then-controls order, and draws from the
+// rng only for channels that can fire.
+//
+// Every single-qubit channel of the plan lives in one slab and the
+// crosstalk key is formatted once, so a model without a device
+// compiles in a fixed number of allocations whatever the circuit's
+// size.
 func (m Model) Compile(c *circuit.Circuit) (*Plan, error) {
 	if err := m.ValidateFor(c.NumQubits); err != nil {
 		return nil, err
 	}
-	p := &Plan{ops: make([]*OpNoise, len(c.Ops))}
-	moments := circuit.Moments(c)
-	last := make([]int, c.NumQubits)
-	for i := range last {
-		last[i] = -1
-	}
 	idleOn := m.Idle != nil && (m.Device != nil || m.Idle.Damping > 0 || m.Idle.Dephasing > 0)
-	xtalk := []PairTerm(nil)
+	var xtalk Chan2
 	if m.Crosstalk != nil {
-		xtalk = m.Crosstalk.terms()
+		if terms := m.Crosstalk.terms(); len(terms) > 0 {
+			xtalk = newChan2(0, 0, terms, LabelCrosstalk)
+		}
 	}
+	// Size the slabs: at most three gate channels per touched qubit
+	// (idle channels may append past the estimate, which only costs a
+	// reallocation: each operation slices its channels after appending
+	// them) and one crosstalk channel per two-qubit gate.
+	touched, pairs := 0, 0
+	for i := range c.Ops {
+		if op := &c.Ops[i]; op.Kind == circuit.KindGate {
+			touched += 1 + len(op.Controls)
+			if len(op.Controls) == 1 {
+				pairs++
+			}
+		}
+	}
+	pc := planCompiler{m: m, chans: make([]Chan1, 0, 3*touched)}
+	if xtalk.Terms != nil {
+		pc.pairs = make([]Chan2, 0, pairs)
+	}
+	var moments, last []int
+	if idleOn {
+		moments = circuit.Moments(c)
+		last = make([]int, c.NumQubits)
+		for i := range last {
+			last[i] = -1
+		}
+	}
+	p := &Plan{ops: make([]*OpNoise, len(c.Ops))}
+	slab := make([]OpNoise, len(c.Ops))
 	for i := range c.Ops {
 		op := &c.Ops[i]
 		if op.Kind == circuit.KindBarrier {
 			continue
 		}
-		qs := op.Qubits()
+		nq := 1 + len(op.Controls)
 		if op.Kind == circuit.KindGate {
-			var on OpNoise
+			on := &slab[i]
+			start := len(pc.chans)
 			if idleOn {
-				for _, q := range qs {
+				for j := 0; j < nq; j++ {
+					q := qubitAt(op, j)
 					if last[q] < 0 {
 						continue // a qubit still in |0⟩ has nothing to decay
 					}
@@ -194,59 +226,97 @@ func (m Model) Compile(c *circuit.Circuit) (*Plan, error) {
 						continue
 					}
 					pd, pf := m.idleProbs(q, k)
-					on.Pre = m.appendDamping(on.Pre, q, pd, false, LabelIdle)
+					pc.damping(q, pd, false, LabelIdle)
 					if pf > 0 {
-						on.Pre = append(on.Pre, newChan1(ChanPhaseFlip, q, pf, false, LabelIdle))
+						pc.add(Chan1{Kind: ChanPhaseFlip, Qubit: q, P: pf, Label: LabelIdle})
 					}
 				}
 			}
-			// Device tables use the QASM spelling of controlled gates
-			// ("cx", "ccx"), while the IR stores the base name plus a
-			// control list.
+			pre := len(pc.chans)
 			name := op.Name
-			if len(op.Controls) > 0 {
+			if m.Device != nil && len(op.Controls) > 0 {
+				// Device tables use the QASM spelling of controlled
+				// gates ("cx", "ccx"), while the IR stores the base
+				// name plus a control list.
 				name = strings.Repeat("c", len(op.Controls)) + name
 			}
-			for _, q := range qs {
+			for j := 0; j < nq; j++ {
+				q := qubitAt(op, j)
 				dep, damp, flip, event := m.gateRates(name, q)
 				if dep > 0 {
-					on.Post = append(on.Post, newChan1(ChanDepolarizing, q, dep, false, LabelDepolarizing))
+					pc.add(Chan1{Kind: ChanDepolarizing, Qubit: q, P: dep, Label: LabelDepolarizing})
 				}
-				on.Post = m.appendDamping(on.Post, q, damp, event, LabelDamping)
+				pc.damping(q, damp, event, LabelDamping)
 				if flip > 0 {
-					on.Post = append(on.Post, newChan1(ChanPhaseFlip, q, flip, false, LabelPhaseFlip))
+					pc.add(Chan1{Kind: ChanPhaseFlip, Qubit: q, P: flip, Label: LabelPhaseFlip})
 				}
 			}
-			if len(xtalk) > 0 && len(qs) == 2 {
-				on.Post2 = append(on.Post2, newChan2(qs[0], qs[1], xtalk, LabelCrosstalk))
+			end := len(pc.chans)
+			on.Pre = pc.chans[start:pre:pre]
+			on.Post = pc.chans[pre:end:end]
+			if xtalk.Terms != nil && nq == 2 {
+				ch := xtalk
+				ch.Q0, ch.Q1 = op.Target, op.Controls[0].Qubit
+				pc.pairs = append(pc.pairs, ch)
+				n := len(pc.pairs)
+				on.Post2 = pc.pairs[n-1 : n : n]
+				pc.tally[LabelCrosstalk]++
 			}
 			if len(on.Pre)+len(on.Post)+len(on.Post2) > 0 {
-				p.ops[i] = &on
+				on.Counts = pc.tally
+				p.ops[i] = on
 			}
+			pc.tally = ChannelCounts{}
 		}
-		for _, q := range qs {
-			if q >= 0 && q < len(last) {
-				last[q] = moments[i]
+		if idleOn {
+			for j := 0; j < nq; j++ {
+				if q := qubitAt(op, j); q >= 0 && q < len(last) {
+					last[q] = moments[i]
+				}
 			}
 		}
 	}
 	return p, nil
 }
 
-// appendDamping appends the T1 channel with probability p — twirled
-// into its Pauli-channel approximation when the model is Twirled.
-func (m Model) appendDamping(dst []Chan1, q int, p float64, event bool, label int) []Chan1 {
-	if p <= 0 {
-		return dst
+// qubitAt returns the j-th entry of op.Qubits() (target first, then
+// controls) without building the slice.
+func qubitAt(op *circuit.Op, j int) int {
+	if j == 0 {
+		return op.Target
 	}
-	if m.Twirled {
+	return op.Controls[j-1].Qubit
+}
+
+// planCompiler accumulates one plan's channels into shared slabs.
+type planCompiler struct {
+	m     Model
+	chans []Chan1
+	pairs []Chan2
+	tally ChannelCounts // labels of the current operation's channels
+}
+
+// add appends a channel.
+func (pc *planCompiler) add(ch Chan1) {
+	pc.tally[ch.Label]++
+	pc.chans = append(pc.chans, ch)
+}
+
+// damping appends the T1 channel with probability p, twirled into its
+// Pauli-channel approximation when the model is Twirled.
+func (pc *planCompiler) damping(q int, p float64, event bool, label int) {
+	if p <= 0 {
+		return
+	}
+	if pc.m.Twirled {
 		if label == LabelDamping {
 			label = LabelTwirled
 		}
-		probe := newChan1(ChanDamping, q, p, event, label)
-		return append(dst, newPauliChan1(q, TwirlProbs(probe.Kraus()), label))
+		probe := Chan1{Kind: ChanDamping, P: p, Event: event}
+		pc.add(Chan1{Kind: ChanPauli, Qubit: q, Probs: TwirlProbs(probe.Kraus()), Label: label})
+		return
 	}
-	return append(dst, newChan1(ChanDamping, q, p, event, label))
+	pc.add(Chan1{Kind: ChanDamping, Qubit: q, P: p, Event: event, Label: label})
 }
 
 // gateRates resolves the post-gate channel probabilities for one

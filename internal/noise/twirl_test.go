@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// newChan1 builds a channel instance, as Compile would bind it.
+func newChan1(kind ChanKind, qubit int, p float64, event bool, label int) Chan1 {
+	return Chan1{Kind: kind, Qubit: qubit, Label: label, P: p, Event: event}
+}
+
+// newPauliChan1 builds a general Pauli channel instance.
+func newPauliChan1(qubit int, probs [4]float64, label int) Chan1 {
+	return Chan1{Kind: ChanPauli, Qubit: qubit, Label: label, Probs: probs}
+}
+
 // applyKraus1 evolves a 2×2 density block through a Kraus set:
 // ρ → Σ_k K ρ K†.
 func applyKraus1(ks [][2][2]complex128, rho [2][2]complex128) [2][2]complex128 {
@@ -84,7 +94,7 @@ func TestTwirlProbsSumToOne(t *testing.T) {
 			sum += p
 		}
 		if math.Abs(sum-1) > 1e-12 {
-			t.Fatalf("twirl probabilities sum to %v (channel %s)", sum, ch.Key())
+			t.Fatalf("twirl probabilities sum to %v (channel %+v)", sum, ch.Key())
 		}
 	}
 }

@@ -59,16 +59,16 @@ type ckptPlan struct {
 	// checkpoint: ops [0, split) are identical for every trajectory.
 	split int
 	// deferred is the op index whose post-gate noise must be injected
-	// first on resume, or -1. When the noise model is enabled, the
-	// first executed gate's unitary is still deterministic and is
-	// folded into the checkpoint; only its noise roll is replayed.
+	// first on resume, or -1. When the first executed gate carries
+	// only post-gate channels, its unitary is still deterministic and
+	// is folded into the checkpoint; only its noise roll is replayed.
 	deferred int
 	// prefixGates is the number of gate applications the checkpoint
 	// saves per forked trajectory.
 	prefixGates int
 	// sites lists the op indices of the remaining random sites
 	// (measurements and resets at or after split). Populated only for
-	// noise-free models: with per-gate noise every gate is a random
+	// noise-free jobs: with per-gate noise every gate is a random
 	// site and no deterministic segments exist between them.
 	sites []int
 	// tailGates counts gate ops after the first random site — the
@@ -82,64 +82,22 @@ func (p *ckptPlan) worthwhile() bool {
 	return p.prefixGates > 0 || (len(p.sites) > 0 && p.tailGates > 0)
 }
 
-// analyzeCheckpoint splits a compiled job at the first op where the
-// noise model can act. Conditions are evaluated against the all-zero
+// analyzeCheckpoint splits a compiled job at the first op where its
+// noise plan can act. Conditions are evaluated against the all-zero
 // classical register, which is exact inside the prefix: classical bits
 // only change at measurements, and every measurement is a random site
-// that ends the prefix. Extended models route through their compiled
-// channel plan (nplan); an empty plan — an extended model whose
-// channels all vanished on this circuit — is treated as noise-free.
-func analyzeCheckpoint(c *circuit.Circuit, model noise.Model, nplan *noise.Plan) ckptPlan {
-	if nplan != nil && !nplan.Empty() {
-		return analyzePlanned(c, nplan)
-	}
-	noisy := nplan == nil && model.Enabled()
+// that ends the prefix. Pre-gate (idle) channels fire before their
+// gate's unitary, so such a gate cannot be folded into the checkpoint;
+// a gate with only post-gate channels is folded in with its noise roll
+// deferred. A nil or empty plan (a noise-free model, or one whose
+// channels all vanished on this circuit) also records the random
+// sites after the prefix for multi-level caching.
+func analyzeCheckpoint(c *circuit.Circuit, nplan *noise.Plan) ckptPlan {
 	plan := ckptPlan{split: len(c.Ops), deferred: -1}
 	for i := range c.Ops {
 		op := &c.Ops[i]
 		if op.Cond != nil && !condHolds(op.Cond, 0) {
 			continue // deterministically skipped inside the prefix
-		}
-		switch op.Kind {
-		case circuit.KindGate:
-			plan.prefixGates++
-			if noisy {
-				// The unitary is deterministic; only the noise roll
-				// after it is not. Checkpoint past the unitary.
-				plan.split = i + 1
-				plan.deferred = i
-				return plan
-			}
-		case circuit.KindMeasure, circuit.KindReset:
-			plan.split = i
-			if !noisy {
-				for j := i; j < len(c.Ops); j++ {
-					switch c.Ops[j].Kind {
-					case circuit.KindMeasure, circuit.KindReset:
-						plan.sites = append(plan.sites, j)
-					case circuit.KindGate:
-						plan.tailGates++
-					}
-				}
-			}
-			return plan
-		}
-	}
-	return plan
-}
-
-// analyzePlanned is the prefix analysis for a compiled extended-model
-// plan: the prefix ends at the first operation carrying any channel.
-// Pre-gate (idle) channels fire before their gate's unitary, so such
-// a gate cannot be folded into the checkpoint; a gate with only
-// post-gate channels is folded in with its noise roll deferred,
-// exactly like the uniform path.
-func analyzePlanned(c *circuit.Circuit, nplan *noise.Plan) ckptPlan {
-	plan := ckptPlan{split: len(c.Ops), deferred: -1}
-	for i := range c.Ops {
-		op := &c.Ops[i]
-		if op.Cond != nil && !condHolds(op.Cond, 0) {
-			continue
 		}
 		switch op.Kind {
 		case circuit.KindGate:
@@ -150,12 +108,24 @@ func analyzePlanned(c *circuit.Circuit, nplan *noise.Plan) ckptPlan {
 			}
 			plan.prefixGates++
 			if on != nil {
+				// The unitary is deterministic; only the noise roll
+				// after it is not. Checkpoint past the unitary.
 				plan.split = i + 1
 				plan.deferred = i
 				return plan
 			}
 		case circuit.KindMeasure, circuit.KindReset:
 			plan.split = i
+			if nplan.Empty() {
+				for j := i; j < len(c.Ops); j++ {
+					switch c.Ops[j].Kind {
+					case circuit.KindMeasure, circuit.KindReset:
+						plan.sites = append(plan.sites, j)
+					case circuit.KindGate:
+						plan.tailGates++
+					}
+				}
+			}
 			return plan
 		}
 	}
@@ -196,10 +166,8 @@ type ckptRunner struct {
 	forker    sim.Forker
 	sizer     sim.StateSizer // nil when the backend cannot report cost
 	circ      *circuit.Circuit
-	model     noise.Model
-	noisePlan *noise.Plan // compiled extended-model channels, or nil
+	noisePlan *noise.Plan // the job's compiled noise, or nil
 	plan      ckptPlan
-	qubits    [][]int // precomputed per-op qubit lists (jobState.opQubits)
 
 	base sim.State           // the shared deterministic-prefix checkpoint
 	segs map[segKey]segState // multi-level cache; nil when disabled
@@ -213,15 +181,13 @@ type ckptRunner struct {
 // multi-level cache when the plan has later random sites. It returns
 // the runner and the number of gate applications the construction
 // executed (the engine feeds that into the gate telemetry).
-func newCkptRunner(backend sim.Backend, forker sim.Forker, c *circuit.Circuit, model noise.Model, nplan *noise.Plan, plan ckptPlan, qubits [][]int) (*ckptRunner, int) {
+func newCkptRunner(backend sim.Backend, forker sim.Forker, c *circuit.Circuit, nplan *noise.Plan, plan ckptPlan) (*ckptRunner, int) {
 	r := &ckptRunner{
 		backend:   backend,
 		forker:    forker,
 		circ:      c,
-		model:     model,
 		noisePlan: nplan,
 		plan:      plan,
-		qubits:    qubits,
 	}
 	r.sizer, _ = backend.(sim.StateSizer)
 	backend.Reset()
@@ -270,22 +236,12 @@ func (r *ckptRunner) run(rng *rand.Rand, clbits []uint64, st *ckptStats, counts 
 	st.forks++
 	st.skipped += r.plan.prefixGates
 	if d := r.plan.deferred; d >= 0 {
-		if r.noisePlan != nil {
-			if on := r.noisePlan.At(d); on != nil {
-				on.ApplyPost(r.backend, rng, counts)
-			}
-		} else {
-			var q []int
-			if r.qubits != nil {
-				q = r.qubits[d]
-			} else {
-				q = r.circ.Ops[d].Qubits()
-			}
-			r.model.ApplyAfterGate(r.backend, q, rng)
-		}
+		on := r.noisePlan.At(d) // non-nil: analyzeCheckpoint defers only gates with channels
+		on.ApplyPost(r.backend, rng)
+		counts.Add(&on.Counts)
 	}
 	if r.segs == nil {
-		st.applied += runRange(r.backend, r.circ, r.model, r.noisePlan, rng, clbits, r.qubits, r.plan.split, len(r.circ.Ops), counts)
+		st.applied += runRange(r.backend, r.circ, r.noisePlan, rng, clbits, r.plan.split, len(r.circ.Ops), counts)
 		return
 	}
 	r.runSegmented(rng, clbits, st)
@@ -295,8 +251,8 @@ func (r *ckptRunner) run(rng *rand.Rand, clbits []uint64, st *ckptStats, counts 
 // resolve the random site (measurement or reset), then serve the
 // deterministic segment up to the next site from the outcome-history
 // cache when possible. The tail contains no noise by construction
-// (the plan only records sites for disabled noise models), so
-// segments are pure gate runs.
+// (the plan only records sites for noise-free jobs), so segments are
+// pure gate runs.
 func (r *ckptRunner) runSegmented(rng *rand.Rand, clbits []uint64, st *ckptStats) {
 	ops := r.circ.Ops
 	hist := uint64(0)

@@ -74,7 +74,7 @@ func TestAnalyzeCheckpoint(t *testing.T) {
 
 	noisy := noise.PaperDefaults()
 	t.Run("noise-free", func(t *testing.T) {
-		p := analyzeCheckpoint(bv, noise.Model{}, nil)
+		p := analyzeCheckpoint(bv, nil)
 		if p.split != firstMeasure || p.deferred != -1 {
 			t.Fatalf("split=%d deferred=%d, want split=%d deferred=-1", p.split, p.deferred, firstMeasure)
 		}
@@ -89,7 +89,11 @@ func TestAnalyzeCheckpoint(t *testing.T) {
 		}
 	})
 	t.Run("noisy", func(t *testing.T) {
-		p := analyzeCheckpoint(bv, noisy, nil)
+		nplan, err := noisy.Compile(bv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := analyzeCheckpoint(bv, nplan)
 		if p.split != 1 || p.deferred != 0 || p.prefixGates != 1 {
 			t.Fatalf("split=%d deferred=%d prefixGates=%d, want 1/0/1", p.split, p.deferred, p.prefixGates)
 		}
@@ -100,7 +104,7 @@ func TestAnalyzeCheckpoint(t *testing.T) {
 	t.Run("measurement-first", func(t *testing.T) {
 		c := circuit.New("m_first", 2)
 		c.Measure(0, 0).H(1)
-		p := analyzeCheckpoint(c, noise.Model{}, nil)
+		p := analyzeCheckpoint(c, nil)
 		if p.split != 0 || p.prefixGates != 0 {
 			t.Fatalf("split=%d prefixGates=%d, want 0/0", p.split, p.prefixGates)
 		}
@@ -109,7 +113,7 @@ func TestAnalyzeCheckpoint(t *testing.T) {
 		}
 	})
 	t.Run("fully-deterministic", func(t *testing.T) {
-		p := analyzeCheckpoint(circuit.GHZ(5), noise.Model{}, nil)
+		p := analyzeCheckpoint(circuit.GHZ(5), nil)
 		if p.split != len(circuit.GHZ(5).Ops) || len(p.sites) != 0 {
 			t.Fatalf("split=%d sites=%v, want whole circuit and no sites", p.split, p.sites)
 		}
@@ -215,7 +219,7 @@ func TestCheckpointAdaptiveEquivalence(t *testing.T) {
 // account for — while staying bit-identical to the plain replay.
 func TestMultiLevelSegmentCheckpoints(t *testing.T) {
 	c := dynamicCircuit()
-	plan := analyzeCheckpoint(c, noise.Model{}, nil)
+	plan := analyzeCheckpoint(c, nil)
 	if len(plan.sites) < 3 || plan.tailGates == 0 {
 		t.Fatalf("bad workload for this test: plan %+v", plan)
 	}

@@ -182,16 +182,9 @@ type jobState struct {
 	numChunks int
 	claim     int
 
-	// opQubits caches Circuit.Ops[i].Qubits() for noisy jobs: the noise
-	// model consults the touched qubits after every gate of every
-	// trajectory, and recomputing the list allocates on the innermost
-	// loop. Read-only once built, so workers share it safely.
-	opQubits [][]int
-
-	// plan is the compiled per-op channel plan for extended noise
-	// models (device calibration, crosstalk, idle noise, twirling);
-	// nil for uniform models, which keep the legacy fast path and its
-	// exact RNG stream. Read-only once built, so workers share it.
+	// plan is the job's noise model compiled against its circuit: the
+	// channels every trajectory samples around each gate. Nil for a
+	// noise-free model. Read-only once built, so workers share it.
 	plan *noise.Plan
 
 	// Guarded by engine.mu:
@@ -257,12 +250,6 @@ func prepareJob(job Job) (*jobState, error) {
 	js.red.init(js.numChunks, job.Opts.ChunkSize, len(job.Opts.TrackStates)+1, js.target)
 	js.progTracked = make([]float64, len(job.Opts.TrackStates))
 	if job.Model.Enabled() {
-		js.opQubits = make([][]int, len(job.Circuit.Ops))
-		for i := range job.Circuit.Ops {
-			js.opQubits[i] = job.Circuit.Ops[i].Qubits()
-		}
-	}
-	if job.Model.Extended() {
 		plan, err := job.Model.Compile(job.Circuit)
 		if err != nil {
 			return nil, err
@@ -443,7 +430,7 @@ func (e *engine) compile(js *jobState) (*compiled, error) {
 		}
 		// Reference trajectory: same circuit, no noise, fixed seed so
 		// every worker derives the identical state.
-		refGates := runOne(backend, js.job.Circuit, noise.Model{}, nil, rand.New(rand.NewSource(js.job.Opts.Seed)), wb.clbits, nil, nil)
+		refGates := runOne(backend, js.job.Circuit, nil, rand.New(rand.NewSource(js.job.Opts.Seed)), wb.clbits, nil)
 		telemetry.GateApplications.Add(int64(refGates))
 		wb.ref = s.Snapshot()
 		wb.snapper = s
@@ -455,9 +442,9 @@ func (e *engine) compile(js *jobState) (*compiled, error) {
 			return nil, fmt.Errorf("stochastic: backend %q cannot checkpoint (Options.Checkpointing %q needs sim.Forker)",
 				backend.Name(), mode)
 		case ok:
-			plan := analyzeCheckpoint(js.job.Circuit, js.job.Model, js.plan)
+			plan := analyzeCheckpoint(js.job.Circuit, js.plan)
 			if mode == CheckpointOn || plan.worthwhile() {
-				ckpt, prefixGates := newCkptRunner(backend, forker, js.job.Circuit, js.job.Model, js.plan, plan, js.opQubits)
+				ckpt, prefixGates := newCkptRunner(backend, forker, js.job.Circuit, js.plan, plan)
 				telemetry.GateApplications.Add(int64(prefixGates))
 				wb.ckpt = ckpt
 				e.mu.Lock()
@@ -501,7 +488,7 @@ func (e *engine) runClaim(js *jobState, wb *compiled, first, count int) (acc *ac
 		if wb.ckpt != nil {
 			wb.ckpt.run(rng, wb.clbits, &st, &chanCounts)
 		} else {
-			st.applied += runOne(wb.backend, js.job.Circuit, js.job.Model, js.plan, rng, wb.clbits, js.opQubits, &chanCounts)
+			st.applied += runOne(wb.backend, js.job.Circuit, js.plan, rng, wb.clbits, &chanCounts)
 		}
 		acc.runs++
 		for s := 0; s < opts.Shots; s++ {

@@ -508,63 +508,24 @@ func circuitMeasures(c *circuit.Circuit) bool {
 
 // runOne executes a single noisy trajectory from the all-zero state
 // and returns the number of gate applications it executed. clbits is
-// a 1-element scratch slice holding the packed classical register;
-// qubits, when non-nil, is the precomputed per-op qubit list (see
-// jobState.opQubits) — nil makes each noisy gate recompute its own.
-// plan, when non-nil, is the compiled extended-model channel plan and
-// replaces the uniform model entirely (counts then accumulates
-// per-kind channel applications for telemetry).
-func runOne(b sim.Backend, c *circuit.Circuit, model noise.Model, plan *noise.Plan, rng *rand.Rand, clbits []uint64, qubits [][]int, counts *noise.ChannelCounts) int {
+// a 1-element scratch slice holding the packed classical register.
+// plan is the job's compiled noise (nil for a noise-free model), and
+// counts accumulates the channel applications it samples, per kind,
+// for telemetry.
+func runOne(b sim.Backend, c *circuit.Circuit, plan *noise.Plan, rng *rand.Rand, clbits []uint64, counts *noise.ChannelCounts) int {
 	b.Reset()
 	clbits[0] = 0
-	return runRange(b, c, model, plan, rng, clbits, qubits, 0, len(c.Ops), counts)
+	return runRange(b, c, plan, rng, clbits, 0, len(c.Ops), counts)
 }
 
 // runRange executes ops [from, to) of a trajectory on the backend's
-// current state and returns the number of gate applications. The
-// checkpoint runner uses it to resume forked trajectories mid-circuit.
-func runRange(b sim.Backend, c *circuit.Circuit, model noise.Model, plan *noise.Plan, rng *rand.Rand, clbits []uint64, qubits [][]int, from, to int, counts *noise.ChannelCounts) int {
-	if plan != nil {
-		return runRangePlanned(b, c, plan, rng, clbits, from, to, counts)
-	}
-	noisy := model.Enabled()
-	gates := 0
-	for i := from; i < to; i++ {
-		op := &c.Ops[i]
-		if op.Cond != nil && !condHolds(op.Cond, clbits[0]) {
-			continue
-		}
-		switch op.Kind {
-		case circuit.KindGate:
-			b.ApplyOp(i)
-			gates++
-			if noisy {
-				var q []int
-				if qubits != nil {
-					q = qubits[i]
-				} else {
-					q = op.Qubits()
-				}
-				model.ApplyAfterGate(b, q, rng)
-			}
-		case circuit.KindMeasure, circuit.KindReset:
-			execSiteOp(b, op, rng, clbits)
-		case circuit.KindBarrier:
-			// no effect
-		}
-	}
-	return gates
-}
-
-// runRangePlanned is the extended-model trajectory loop: every gate's
-// channels come from the compiled plan — idle decay before the gate,
-// single- then two-qubit noise after it. A condition-skipped gate
-// skips its channels too, idle noise included (untaken operations
-// inflict no noise, matching the uniform path's semantics).
-func runRangePlanned(b sim.Backend, c *circuit.Circuit, plan *noise.Plan, rng *rand.Rand, clbits []uint64, from, to int, counts *noise.ChannelCounts) int {
-	if counts == nil {
-		counts = new(noise.ChannelCounts)
-	}
+// current state and returns the number of gate applications. Every
+// gate's channels come from the compiled plan: idle decay before the
+// gate, single- then two-qubit noise after it. A condition-skipped
+// gate skips its channels too, idle noise included: untaken operations
+// inflict no noise. The checkpoint runner uses it to resume forked
+// trajectories mid-circuit.
+func runRange(b sim.Backend, c *circuit.Circuit, plan *noise.Plan, rng *rand.Rand, clbits []uint64, from, to int, counts *noise.ChannelCounts) int {
 	gates := 0
 	for i := from; i < to; i++ {
 		op := &c.Ops[i]
@@ -575,12 +536,13 @@ func runRangePlanned(b sim.Backend, c *circuit.Circuit, plan *noise.Plan, rng *r
 		case circuit.KindGate:
 			on := plan.At(i)
 			if on != nil {
-				on.ApplyPre(b, rng, counts)
+				on.ApplyPre(b, rng)
 			}
 			b.ApplyOp(i)
 			gates++
 			if on != nil {
-				on.ApplyPost(b, rng, counts)
+				on.ApplyPost(b, rng)
+				counts.Add(&on.Counts)
 			}
 		case circuit.KindMeasure, circuit.KindReset:
 			execSiteOp(b, op, rng, clbits)
@@ -652,7 +614,7 @@ func Deterministic(c *circuit.Circuit, factory sim.Factory, seed int64) (sim.Bac
 	}
 	rng := rand.New(rand.NewSource(seed))
 	clbits := make([]uint64, 1)
-	runOne(b, c, noise.Model{}, nil, rng, clbits, nil, nil)
+	runOne(b, c, nil, rng, clbits, nil)
 	return b, nil
 }
 

@@ -103,8 +103,10 @@ var (
 
 	// NoiseChannelApplications counts noise-channel applications by
 	// channel kind (depolarizing / damping / phaseflip / twirled /
-	// idle / crosstalk): sampled channel draws in the stochastic
-	// engine, exact channel applications in the density-matrix engine.
+	// idle / crosstalk) for every noisy model, uniform or extended:
+	// sampled channels of the compiled plan in the stochastic engine
+	// (one per channel visited, whether or not it fired), exact
+	// channel applications in the density-matrix engine.
 	NoiseChannelApplications = NewCounterVec("ddsim_noise_channel_applications_total",
 		"Noise-channel applications, by channel kind.", "kind")
 
